@@ -116,7 +116,8 @@ def charger_table(cases: list[StudyCase]) -> list[dict]:
 def cost_comparison(cases: list[StudyCase], gap: float = 0.10):
     """Costs, pairwise savings and the expected cost orderings
     (multi-port <= single-port per scenario, flexible <= stiff per charger
-    type), each checked with the solver-gap slack."""
+    type), each checked with the solver-gap slack. An ordering with a case
+    that has no plan is undecided (``holds_with_gap`` is None)."""
     costs = []
     for case in cases:
         sol = case.solution
@@ -158,7 +159,9 @@ def cost_comparison(cases: list[StudyCase], gap: float = 0.10):
                     "expected": f"{big} >= {small}",
                     "lhs": lhs,
                     "rhs": rhs,
-                    "holds_with_gap": bool(lhs >= rhs * (1.0 - gap)),
+                    "holds_with_gap": (
+                        None if lhs is None or rhs is None else bool(lhs >= rhs * (1.0 - gap))
+                    ),
                 }
             )
     return costs, savings, ordering

@@ -44,8 +44,6 @@ class SolverConfig:
     abs_gap: float = 1e-9
     node_limit: int | None = None
     time_limit_s: float | None = None
-    branching: str = "most-fractional"
-    seed: int = 42
     log_interval_s: float | None = None  # progress lines to stderr
 
     def __post_init__(self):

@@ -72,7 +72,6 @@ def _build_parser():
         p.add_argument("--mpc-slow-literal", action="store_true")
         p.add_argument("--v-min", type=float)
         p.add_argument("--v-max", type=float)
-        p.add_argument("--seed", type=int)
         p.add_argument("--out", type=Path)
 
     p = sub.add_parser("generate", help="synthesize a commuting fleet")
@@ -269,7 +268,6 @@ def cmd_solve(args) -> int:
             gap=float(_arg(args, cfg, "gap", 0.10)),
             node_limit=_arg(args, cfg, "node-limit"),
             time_limit_s=_arg(args, cfg, "time-limit"),
-            seed=int(_arg(args, cfg, "seed", 42)),
             log_interval_s=10.0 if args.verbose else None,
         )
         solution = solve_plan(instance, config, model=model)

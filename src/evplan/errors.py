@@ -27,7 +27,8 @@ class LoadFlowDivergenceError(EvPlanError):
 
 
 class SensitivityError(EvPlanError):
-    """A perturbed load flow diverged while computing coefficients."""
+    """Sensitivity coefficients cannot be formed at an operating point
+    (singular load-flow Jacobian or non-finite coefficients)."""
 
 
 class InfeasibleBasePointError(EvPlanError):

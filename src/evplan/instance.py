@@ -1,8 +1,8 @@
 """A fully specified planning case: grid, demand, fleet, catalog, scenario.
 
-``prepare_instance`` performs the per-interval linearization (one load flow
-plus finite-difference sensitivities per time step, computed once on the
-EV-free net demand and reused for all candidate EV injections).
+``prepare_instance`` performs the per-interval linearization: one load flow
+per time step on the EV-free net demand, with sensitivity coefficients read
+from that load flow's Jacobian and reused for all candidate EV injections.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from .fleet import ChargerCatalog, FleetSchedule, Vehicle
 from .linear_grid import GridLimits, LinearInequality, linear_grid_constraints
 from .loadflow import solve_load_flow
 from .network import BusNetwork
-from .sensitivity import DEFAULT_EPS_PU, SensitivityCoefficients, compute_sensitivities
+from .sensitivity import SensitivityCoefficients, compute_sensitivities
 
 SCENARIOS = ("A", "B")
 CHARGER_CONFIGS = ("spc", "mpc")
@@ -113,7 +113,6 @@ def prepare_instance(
     scenario: str = "A",
     chargers: str = "spc",
     limits: GridLimits | None = None,
-    eps_pu: float = DEFAULT_EPS_PU,
     mpc_slow_literal: bool = False,
 ) -> PlanInstance:
     """Solve the EV-free load flow and linearize once per time step."""
@@ -121,7 +120,7 @@ def prepare_instance(
     for t in range(demand.horizon):
         p, q = demand.demand_at(network, t)
         point = solve_load_flow(network, p, q)
-        linearizations.append(compute_sensitivities(network, point, eps_pu=eps_pu))
+        linearizations.append(compute_sensitivities(network, point))
     return PlanInstance(
         network=network,
         demand=demand,

@@ -41,16 +41,19 @@ def _complex_voltage(vm: np.ndarray, va: np.ndarray) -> np.ndarray:
     return vm * np.exp(1j * va)
 
 
-def _line_currents_pu(network: BusNetwork, v: np.ndarray) -> np.ndarray:
-    """Sending-end current magnitude per line, per-unit."""
+def line_current_matrix(network: BusNetwork) -> np.ndarray:
+    """(n_lines, n_buses) per-unit map from bus voltage phasors to
+    sending-end line current phasors (pi model: series current plus the
+    sending-end half shunt). Being linear, it also maps voltage derivatives
+    to current derivatives."""
     z_base = network.z_base_ohm
-    mags = np.empty(network.n_lines)
+    c = np.zeros((network.n_lines, network.n_buses), dtype=complex)
     for k, ln in enumerate(network.lines):
         a, b = network.bus_index(ln.from_bus), network.bus_index(ln.to_bus)
         y_ser = 1.0 / ((ln.r_ohm + 1j * ln.x_ohm) / z_base)
-        y_sh_half = 0.5j * ln.b_s * z_base
-        mags[k] = abs((v[a] - v[b]) * y_ser + v[a] * y_sh_half)
-    return mags
+        c[k, a] += y_ser + 0.5j * ln.b_s * z_base
+        c[k, b] -= y_ser
+    return c
 
 
 def solve_load_flow(
@@ -90,7 +93,7 @@ def solve_load_flow(
             )
         if mismatch <= tol_pu:
             return _finish(network, ybus, v, p, q, mismatch)
-        j = _jacobian(ybus, v, vm, pq)
+        j = jacobian(ybus, v, pq)
         rhs = np.concatenate([ds[pq].real, ds[pq].imag])
         try:
             step = np.linalg.solve(j, rhs)
@@ -124,8 +127,13 @@ def _as_bus_array(network: BusNetwork, values) -> np.ndarray:
     return arr.copy()
 
 
-def _jacobian(ybus, v, vm, pq):
-    # Standard complex-form power flow derivatives.
+def jacobian(ybus: np.ndarray, v: np.ndarray, pq: np.ndarray) -> np.ndarray:
+    """Derivatives of the computed injections (P rows, then Q rows, over
+    ``pq``) w.r.t. the state (angles, then magnitudes, over ``pq``), per-unit.
+
+    Standard complex-form power flow derivatives; the Newton steps and the
+    sensitivity coefficients share this matrix.
+    """
     i = ybus @ v
     diag_v = np.diag(v)
     diag_i = np.diag(i)
@@ -152,7 +160,7 @@ def _finish(network, ybus, v, p, q, mismatch) -> OperatingPoint:
         q_kvar=q,
         voltage_pu=np.abs(v),
         angle_rad=np.angle(v),
-        current_a=_line_currents_pu(network, v) * network.i_base_a,
+        current_a=np.abs(line_current_matrix(network) @ v) * network.i_base_a,
         slack_kva=float(abs(s_slack)),
         mismatch_pu=mismatch,
     )

@@ -1,9 +1,15 @@
 """Sensitivity coefficients of grid quantities w.r.t. nodal injections.
 
-Central finite differences around a converged operating point: each
-non-slack node's active and reactive demand is perturbed by +/- eps of the
-network base power and the load flow re-solved. Coefficients are stored per
-kW (per kVAr) of demand increase.
+Exact first derivatives at a converged operating point, read from the load
+flow's own Newton Jacobian (Christakou et al., "Efficient computation of
+sensitivity coefficients of node voltages and line currents in unbalanced
+radial electrical distribution networks", IEEE Trans. Smart Grid 4(2),
+2013). One dense solve ``J X = -I / base_kva`` gives the change of every
+non-slack angle and voltage magnitude per kW (kVAr) of demand at every
+non-slack node; the chain rule through the complex bus voltages carries it
+to line current magnitudes and to the slack's apparent power. The slack
+voltage is not a state, so its rows are exactly zero. Coefficients are
+stored per kW (per kVAr) of demand increase.
 """
 
 from __future__ import annotations
@@ -12,11 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LoadFlowDivergenceError, SensitivityError
-from .loadflow import OperatingPoint, solve_load_flow
-from .network import BusNetwork
-
-DEFAULT_EPS_PU = 1e-4
+from .errors import SensitivityError
+from .loadflow import MISMATCH_TOL_PU, OperatingPoint, jacobian, line_current_matrix
+from .network import BusNetwork, build_admittance
 
 
 @dataclass(frozen=True)
@@ -44,72 +48,50 @@ class SensitivityCoefficients:
                 raise SensitivityError("non-finite sensitivity coefficient")
 
 
-def compute_sensitivities(
-    network: BusNetwork,
-    point: OperatingPoint,
-    eps_pu: float = DEFAULT_EPS_PU,
-) -> SensitivityCoefficients:
-    """Finite-difference coefficients; two load flows per node and quantity."""
+def _magnitude_derivative(z: np.ndarray, dz: np.ndarray) -> np.ndarray:
+    """d|z| = Re(conj(z) dz) / |z| along the last axis of ``dz``.
+
+    |z| has no derivative at zero; where |z| is below the load-flow
+    tolerance the row is zero, which is what a central difference reads.
+    """
+    mag = np.abs(z)
+    phase = np.divide(np.conj(z), mag, out=np.zeros_like(z), where=mag >= MISMATCH_TOL_PU)
+    return (phase[..., None] * dz).real
+
+
+def compute_sensitivities(network: BusNetwork, point: OperatingPoint) -> SensitivityCoefficients:
+    """Exact coefficients at ``point``; raises SensitivityError when the
+    load-flow Jacobian there is singular."""
     node_ids = tuple(network.node_ids)
     m = len(node_ids)
-    n = network.n_buses
-    l = network.n_lines
-    eps_kw = eps_pu * network.base_kva
-
-    dv_dp = np.zeros((n, m))
-    dv_dq = np.zeros((n, m))
-    di_dp = np.zeros((l, m))
-    di_dq = np.zeros((l, m))
-    ds0_dp = np.zeros(m)
-    ds0_dq = np.zeros(m)
-
-    base_p = point.p_kw.copy()
-    base_q = point.q_kvar.copy()
-
-    for col, bus_id in enumerate(node_ids):
-        idx = network.bus_index(bus_id)
-        for react in (False, True):
-            p_hi, q_hi = base_p.copy(), base_q.copy()
-            p_lo, q_lo = base_p.copy(), base_q.copy()
-            if react:
-                q_hi[idx] += eps_kw
-                q_lo[idx] -= eps_kw
-            else:
-                p_hi[idx] += eps_kw
-                p_lo[idx] -= eps_kw
-            try:
-                hi = solve_load_flow(network, p_hi, q_hi)
-                lo = solve_load_flow(network, p_lo, q_lo)
-            except LoadFlowDivergenceError as exc:
-                kind = "Q" if react else "P"
-                raise SensitivityError(
-                    f"perturbed load flow diverged at node {bus_id} ({kind}): {exc}"
-                ) from exc
-            denom = 2.0 * eps_kw
-            dv = (hi.voltage_pu - lo.voltage_pu) / denom
-            di = (hi.current_a - lo.current_a) / denom
-            ds0 = (hi.slack_kva - lo.slack_kva) / denom
-            if react:
-                dv_dq[:, col] = dv
-                di_dq[:, col] = di
-                ds0_dq[col] = ds0
-            else:
-                dv_dp[:, col] = dv
-                di_dp[:, col] = di
-                ds0_dp[col] = ds0
-
-    # The slack magnitude is held fixed by the solver; clamp residual noise.
+    pq = np.array([network.bus_index(b) for b in node_ids], dtype=int)
     sl = network.slack_index
-    dv_dp[sl, :] = 0.0
-    dv_dq[sl, :] = 0.0
+    ybus = build_admittance(network)
+    v = point.voltage_pu * np.exp(1j * point.angle_rad)
+
+    # Columns: demand P at each node (per kW), then Q (per kVAr). Rows:
+    # angles, then magnitudes. Demand enters the mismatch with a minus sign,
+    # and dV = V (j d(angle) + d|V| / |V|).
+    try:
+        x = np.linalg.solve(jacobian(ybus, v, pq), -np.eye(2 * m) / network.base_kva)
+    except np.linalg.LinAlgError as exc:
+        raise SensitivityError(f"singular load-flow Jacobian: {exc}") from exc
+    dv = np.zeros((network.n_buses, 2 * m), dtype=complex)
+    dv[pq] = v[pq, None] * (1j * x[:m] + x[m:] / point.voltage_pu[pq, None])
+
+    dvm = _magnitude_derivative(v, dv)
+    c = line_current_matrix(network)
+    di = _magnitude_derivative(c @ v, c @ dv) * network.i_base_a
+    s_slack = v[sl] * np.conj(ybus[sl] @ v)
+    ds0 = _magnitude_derivative(s_slack, v[sl] * np.conj(ybus[sl] @ dv)) * network.base_kva
 
     return SensitivityCoefficients(
         node_ids=node_ids,
-        dv_dp=dv_dp,
-        dv_dq=dv_dq,
-        di_dp=di_dp,
-        di_dq=di_dq,
-        ds0_dp=ds0_dp,
-        ds0_dq=ds0_dq,
+        dv_dp=dvm[:, :m],
+        dv_dq=dvm[:, m:],
+        di_dp=di[:, :m],
+        di_dq=di[:, m:],
+        ds0_dp=ds0[:m],
+        ds0_dq=ds0[m:],
         point=point,
     )

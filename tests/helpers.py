@@ -8,7 +8,9 @@ from evplan.demand import NetDemandProfile
 from evplan.fleet import ChargerCatalog, FleetSchedule, Vehicle
 from evplan.instance import PlanInstance, prepare_instance
 from evplan.linear_grid import GridLimits
+from evplan.loadflow import OperatingPoint, solve_load_flow
 from evplan.network import Bus, BusNetwork, Line
+from evplan.sensitivity import SensitivityCoefficients
 
 # Small fast charger so tiny batteries can actually use both types.
 TINY_CATALOG = ChargerCatalog(
@@ -73,6 +75,45 @@ def two_bus_exact_dv_dp(network: BusNetwork, p_kw: float, q_kvar: float) -> floa
     dv = da + ddisc / (2 * np.sqrt(disc))
     dvm_dp_pu = dv / (2 * np.sqrt(v))
     return float(dvm_dp_pu / network.base_kva)
+
+
+def central_difference_sensitivities(
+    network: BusNetwork, point: OperatingPoint, eps_pu: float = 1e-4
+) -> SensitivityCoefficients:
+    """Reference coefficients by central differences: each non-slack node's
+    P and Q is moved by +/- eps of the base power and the load flow
+    re-solved (four load flows per node)."""
+    node_ids = tuple(network.node_ids)
+    m = len(node_ids)
+    eps_kw = eps_pu * network.base_kva
+    blocks = {
+        "dv": np.zeros((network.n_buses, 2 * m)),
+        "di": np.zeros((network.n_lines, 2 * m)),
+        "ds0": np.zeros(2 * m),
+    }
+    for col, bus_id in enumerate(node_ids):
+        idx = network.bus_index(bus_id)
+        for react in (False, True):
+            flows = []
+            for sign in (1.0, -1.0):
+                p, q = point.p_kw.copy(), point.q_kvar.copy()
+                (q if react else p)[idx] += sign * eps_kw
+                flows.append(solve_load_flow(network, p, q))
+            hi, lo = flows
+            k = col + m * react
+            blocks["dv"][:, k] = (hi.voltage_pu - lo.voltage_pu) / (2.0 * eps_kw)
+            blocks["di"][:, k] = (hi.current_a - lo.current_a) / (2.0 * eps_kw)
+            blocks["ds0"][k] = (hi.slack_kva - lo.slack_kva) / (2.0 * eps_kw)
+    return SensitivityCoefficients(
+        node_ids=node_ids,
+        dv_dp=blocks["dv"][:, :m],
+        dv_dq=blocks["dv"][:, m:],
+        di_dp=blocks["di"][:, :m],
+        di_dq=blocks["di"][:, m:],
+        ds0_dp=blocks["ds0"][:m],
+        ds0_dq=blocks["ds0"][m:],
+        point=point,
+    )
 
 
 def tiny_network(n_nodes: int, rng: np.random.Generator) -> BusNetwork:

@@ -10,7 +10,7 @@ from evplan.analysis import (
     write_csv,
 )
 from evplan.bnb import SolverConfig
-from evplan.solution import solve_plan
+from evplan.solution import PlanSolution, solve_plan
 
 from helpers import tiny_instance
 
@@ -60,6 +60,26 @@ def test_cost_orderings_hold_at_gap_zero(four_cases):
     assert by["spc-B"] <= by["spc-A"] + 1e-9
     assert by["mpc-B"] <= by["mpc-A"] + 1e-9
     assert all(entry["holds_with_gap"] for entry in ordering)
+
+
+def test_case_without_plan_leaves_its_orderings_undecided(four_cases):
+    unsolved = PlanSolution(
+        status="limit", objective=None, bound=0.0, gap=None, assignment=None,
+        column_values=None, counts=None, soc=None,
+    )
+    cases = [
+        StudyCase(c.label, c.instance, unsolved) if c.label == "spc-B" else c
+        for c in four_cases
+    ]
+    report = build_report(cases, gap=0.0)
+    verdicts = {e["expected"]: e["holds_with_gap"] for e in report.ordering}
+    assert verdicts == {
+        "spc-A >= mpc-A": True,
+        "spc-B >= mpc-B": None,
+        "spc-A >= spc-B": None,
+        "mpc-A >= mpc-B": True,
+    }
+    assert all("spc-B" not in (s["from"], s["to"]) for s in report.savings)
 
 
 def test_identical_solutions_zero_savings(four_cases):

@@ -1,8 +1,12 @@
 import json
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
+from evplan import sensitivity
 from evplan.cli import main
+from evplan.demand import dump_demand
 from evplan.fleet_io import dump_fleet
 from evplan.network import dump_network
 
@@ -15,8 +19,6 @@ def tiny_files(tmp_path_factory):
     out = tmp_path_factory.mktemp("cli")
     inst = tiny_instance(seed=202, scenario="A", chargers="spc")
     dump_network(inst.network, out / "grid.json")
-    from evplan.demand import dump_demand
-
     dump_demand(inst.demand, out / "demand.csv")
     dump_fleet(inst.schedule, inst.vehicles, out / "fleet.json")
     return out, inst
@@ -111,6 +113,39 @@ def test_solve_and_import_round_trip(tiny_files, tmp_path):
     assert rc == 0
     doc2 = json.loads((tmp_path / "imp" / "solution_spc-A.json").read_text())
     assert doc2["objective"] == pytest.approx(doc["objective"], abs=1e-6)
+
+
+def build_args(src, out, demand=None):
+    return (
+        "build", "--grid", src / "grid.json", "--demand", demand or src / "demand.csv",
+        "--fleet", src / "fleet.json", "--scenario", "A", "--chargers", "spc",
+        "--out", out,
+    )
+
+
+def test_diverging_base_load_flow_exits_2(tiny_files, tmp_path, capsys):
+    src, inst = tiny_files
+    # Far beyond the maximum transfer of the tiny feeder.
+    huge = replace(inst.demand, p_kw=inst.demand.p_kw * 1e5)
+    dump_demand(huge, tmp_path / "huge.csv")
+    assert run_cli(*build_args(src, tmp_path, tmp_path / "huge.csv")) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "model.mps").exists()
+
+
+def test_base_point_outside_voltage_band_exits_2(tiny_files, tmp_path, capsys):
+    src, _ = tiny_files
+    # The EV-free voltages sit near 1.0 pu, above this band.
+    rc = run_cli(*build_args(src, tmp_path), "--v-min", 0.90, "--v-max", 0.95)
+    assert rc == 2
+    assert "violates" in capsys.readouterr().err
+
+
+def test_singular_jacobian_exits_2(tiny_files, tmp_path, monkeypatch, capsys):
+    src, _ = tiny_files
+    monkeypatch.setattr(sensitivity, "jacobian", lambda ybus, v, pq: np.zeros((2 * len(pq),) * 2))
+    assert run_cli(*build_args(src, tmp_path)) == 2
+    assert "singular" in capsys.readouterr().err
 
 
 def test_infeasible_exits_3(tiny_files, tmp_path):

@@ -73,3 +73,16 @@ def test_slack_absorbs_balance(cigre_network, cigre_demand):
     # The slack must cover total demand plus losses.
     assert op.slack_kva >= p.sum()
     assert op.slack_kva < 1.2 * np.hypot(p.sum(), q.sum()) + 500.0
+
+
+def test_line_currents_match_per_line_formula(cigre_network, cigre_demand):
+    net = cigre_network
+    p, q = cigre_demand.demand_at(net, 18)
+    op = solve_load_flow(net, p, q)
+    v = op.voltage_pu * np.exp(1j * op.angle_rad)
+    zb = net.z_base_ohm
+    for k, ln in enumerate(net.lines):
+        a, b = net.bus_index(ln.from_bus), net.bus_index(ln.to_bus)
+        y_ser = zb / (ln.r_ohm + 1j * ln.x_ohm)
+        ref = abs((v[a] - v[b]) * y_ser + v[a] * 0.5j * ln.b_s * zb) * net.i_base_a
+        assert op.current_a[k] == pytest.approx(ref, rel=1e-9, abs=1e-9)

@@ -17,7 +17,7 @@ index. All decisions are deterministic for a fixed model and config.
 from __future__ import annotations
 
 import heapq
-import sys as _sys
+import logging
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -37,6 +37,8 @@ PLUNGE_BACKTRACKS = 400
 PLUNGE_BACKTRACKS_INCUMBENT = 48
 BASIS_CACHE = 4096
 
+log = logging.getLogger(__name__)
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -44,7 +46,7 @@ class SolverConfig:
     abs_gap: float = 1e-9
     node_limit: int | None = None
     time_limit_s: float | None = None
-    log_interval_s: float | None = None  # progress lines to stderr
+    log_interval_s: float | None = None  # progress records to the module logger
 
     def __post_init__(self):
         if self.gap < 0 or self.abs_gap < 0:
@@ -217,11 +219,9 @@ class _Search:
             return
         self.last_log = now
         inc = "-" if self.incumbent_x is None else f"{self.incumbent_obj:.1f}"
-        print(
-            f"[bnb] {self.elapsed():6.0f}s nodes={self.nodes_done} "
-            f"open={len(self.heap)} bound={self.best_bound:.1f} incumbent={inc} "
-            f"evals={self.eval_counts}",
-            file=_sys.stderr,
+        log.info(
+            "[bnb] %6.0fs nodes=%d open=%d bound=%.1f incumbent=%s evals=%s",
+            self.elapsed(), self.nodes_done, len(self.heap), self.best_bound, inc, dict(self.eval_counts),
         )
 
     # -- expansion ----------------------------------------------------------

@@ -10,6 +10,13 @@ Variable families, in column order:
     fast_chargers, slow_chargers,
     fast_plugs, slow_plugs      (N,)   cont.    per-node equipment counts
 
+Each constraint family is one function that appends its rows to the model
+as a block of COO arrays, built by broadcasting over the (vehicle,
+interval) index grids of the column families. The grid coupling appends one
+block per interval from that interval's ``GridRows`` matrices.
+``build_plan_model`` calls the families in a fixed order, which fixes the
+row order.
+
 Count variables stay continuous: their lower bounds are integer sums of
 binaries and their costs are positive, so they are integral at any optimum
 (the verifier asserts this post-hoc).
@@ -43,313 +50,252 @@ EDGE_FAMILIES = (
 COUNT_FAMILIES = ("fast_chargers", "slow_chargers", "fast_plugs", "slow_plugs")
 
 
-class PlanModelBuilder:
-    """Stateful assembly; call the add_* steps then ``build()``."""
+def _coo(*terms):
+    """Concatenate (row, column, value) terms into COO arrays; the three
+    parts of a term broadcast against each other."""
+    parts = [np.broadcast_arrays(r, c, np.asarray(v, dtype=float)) for r, c, v in terms]
+    return tuple(np.concatenate([p[k].ravel() for p in parts]) for k in range(3))
 
-    def __init__(self, instance: PlanInstance):
-        issues = validate_schedule(instance.schedule)
-        if issues:
-            raise ScheduleError("invalid schedule: " + "; ".join(issues[:5]))
-        self.instance = instance
-        self.model = MilpModel()
-        self._steps: set[str] = set()
-        V, T = instance.n_vehicles, instance.horizon
-        N = len(instance.node_ids)
-        for fam in VT_FAMILIES:
-            self.model.add_family(fam, (V, T), BINARY)
-        z = self.model.add_family("soc_start", (V,), CONTINUOUS, lb=0.0, ub=1.0)
-        for v, veh in enumerate(instance.vehicles):
-            self.model.set_bounds(int(z[v]), veh.soc_min, veh.soc_max)
-        for fam in EDGE_FAMILIES:
-            self.model.add_family(fam, (V, T), BINARY)
-        for fam in COUNT_FAMILIES:
-            self.model.add_family(fam, (N,), CONTINUOUS, lb=0.0, ub=np.inf)
-        self._parked = instance.schedule.parked.any(axis=2)
 
-    def _mark(self, step: str):
-        if step in self._steps:
-            raise BuildError(f"step {step} applied twice")
-        self._steps.add(step)
+def _labels(index, names, tags=None):
+    """Row names ``name[i,j]`` and metas ``(tag, i, j)``: for each index
+    tuple in turn, one row per entry of ``names`` (tags default to names)."""
+    tags = tags or names
+    return (
+        [f"{n}[{','.join(map(str, ix))}]" for ix in index for n in names],
+        [(g, *ix) for ix in index for g in tags],
+    )
 
-    # -- constraint families --------------------------------------------
 
-    def add_plug_logic(self):
-        """Plugged only while parked; charging only while plugged."""
-        self._mark("plug_logic")
-        m = self.model
-        fc, sc = m.family("fast_charge"), m.family("slow_charge")
-        fp, sp = m.family("fast_plug"), m.family("slow_plug")
-        V, T = fc.shape
-        for v in range(V):
-            for t in range(T):
-                m.add_row(
-                    f"plug_cap[{v},{t}]",
-                    [(fp[v, t], 1.0), (sp[v, t], 1.0)],
-                    SENSE_LE,
-                    1.0 if self._parked[v, t] else 0.0,
-                    meta=("plug_cap", v, t),
-                )
-                m.add_row(
-                    f"fast_chg_le[{v},{t}]",
-                    [(fc[v, t], 1.0), (fp[v, t], -1.0)],
-                    SENSE_LE,
-                    0.0,
-                    meta=("chg_le", v, t),
-                )
-                m.add_row(
-                    f"slow_chg_le[{v},{t}]",
-                    [(sc[v, t], 1.0), (sp[v, t], -1.0)],
-                    SENSE_LE,
-                    0.0,
-                    meta=("chg_le", v, t),
-                )
+def _columns(inst: PlanInstance) -> MilpModel:
+    m = MilpModel()
+    V, T = inst.n_vehicles, inst.horizon
+    N = len(inst.node_ids)
+    for fam in VT_FAMILIES:
+        m.add_family(fam, (V, T), BINARY)
+    m.add_family(
+        "soc_start", (V,), CONTINUOUS,
+        lb=[veh.soc_min for veh in inst.vehicles], ub=[veh.soc_max for veh in inst.vehicles],
+    )
+    for fam in EDGE_FAMILIES:
+        m.add_family(fam, (V, T), BINARY)
+    for fam in COUNT_FAMILIES:
+        m.add_family(fam, (N,), CONTINUOUS, lb=0.0, ub=np.inf)
+    return m
 
-    def add_soc_constraints(self):
-        """Battery bounds at every interval plus the no-free-energy rule
-        (final SOC at least the initial one). The SOC is substituted as an
-        affine expression of the charge binaries and the initial SOC."""
-        self._mark("soc")
-        m = self.model
-        inst = self.instance
-        fc, sc = m.family("fast_charge"), m.family("slow_charge")
-        z = m.family("soc_start")
-        ts = inst.schedule.ts_hours
-        cat = inst.catalog
-        V, T = fc.shape
-        for v, veh in enumerate(inst.vehicles):
-            kf = veh.efficiency * ts * cat.fast_kw / veh.battery_kwh
-            ks = veh.efficiency * ts * cat.slow_kw / veh.battery_kwh
-            dis = ts / veh.battery_kwh * np.cumsum(inst.schedule.discharge_kw[v])
-            coeffs = [(int(z[v]), 1.0)]
-            for t in range(1, T + 1):
-                coeffs = coeffs + [(int(fc[v, t - 1]), kf), (int(sc[v, t - 1]), ks)]
-                m.add_row(
-                    f"soc_lo[{v},{t}]",
-                    list(coeffs),
-                    SENSE_GE,
-                    veh.soc_min + dis[t - 1],
-                    meta=("soc_lo", v, t),
-                )
-                m.add_row(
-                    f"soc_hi[{v},{t}]",
-                    list(coeffs),
-                    SENSE_LE,
-                    veh.soc_max + dis[t - 1],
-                    meta=("soc_hi", v, t),
-                )
-            m.add_row(
-                f"soc_final[{v}]",
-                [(j, a) for j, a in coeffs if j != int(z[v])],
-                SENSE_GE,
-                dis[T - 1],
-                meta=("soc_final", v),
-            )
 
-    def add_grid_coupling(self):
-        """Linearized voltage/current/transformer rows plus nodal apparent
-        power boxes, instantiated per interval with the EV charging power as
-        the injection increment."""
-        self._mark("grid")
-        m = self.model
-        inst = self.instance
-        if len(inst.linearizations) != inst.horizon:
-            raise BuildError(
-                f"missing sensitivities: {len(inst.linearizations)} sets for "
-                f"{inst.horizon} intervals"
-            )
-        fc, sc = m.family("fast_charge"), m.family("slow_charge")
-        cat = inst.catalog
-        V, T = fc.shape
-        parked_col = inst.parked_col
-        for t in range(T):
-            at_t = [(v, parked_col[v, t]) for v in range(V) if parked_col[v, t] >= 0]
-            for k, row in enumerate(inst.grid_rows[t]):
-                coeffs = []
-                for v, col in at_t:
-                    a_f = row.p_coef[col] * cat.fast_kw + row.q_coef[col] * cat.fast_kvar
-                    a_s = row.p_coef[col] * cat.slow_kw + row.q_coef[col] * cat.slow_kvar
-                    coeffs.append((int(fc[v, t]), a_f))
-                    coeffs.append((int(sc[v, t]), a_s))
-                m.add_row(
-                    f"grid[{t}]:{row.kind}[{row.subject}]",
-                    coeffs,
-                    SENSE_LE,
-                    row.rhs,
-                    meta=("grid", t, row.kind, row.subject),
-                )
+def _plug_logic(m: MilpModel, inst: PlanInstance):
+    """Plugged only while parked; charging only while plugged."""
+    fc, sc, fp, sp = (m.family(f) for f in VT_FAMILIES)
+    V, T = fc.shape
+    # Per (v, t): plug_cap, fast_chg_le, slow_chg_le.
+    r = 3 * np.arange(V * T).reshape(V, T)
+    rows, cols, vals = _coo(
+        (r, fp, 1.0), (r, sp, 1.0),
+        (r + 1, fc, 1.0), (r + 1, fp, -1.0),
+        (r + 2, sc, 1.0), (r + 2, sp, -1.0),
+    )
+    rhs = np.zeros((V, T, 3))
+    rhs[:, :, 0] = inst.schedule.parked.any(axis=2)
+    names, metas = _labels(
+        list(np.ndindex(V, T)), ("plug_cap", "fast_chg_le", "slow_chg_le"), ("plug_cap", "chg_le", "chg_le")
+    )
+    m.add_rows(names, rows, cols, vals, SENSE_LE, rhs.ravel(), metas)
 
-    def _count_rows(self, count_family: str, state_family: str, label: str):
-        m = self.model
-        inst = self.instance
-        counts = m.family(count_family)
-        states = m.family(state_family)
-        V, T = states.shape
-        parked_col = inst.parked_col
-        for n_idx, node in enumerate(inst.node_ids):
-            for t in range(T):
-                present = [v for v in range(V) if parked_col[v, t] == n_idx]
-                if not present:
-                    continue
-                coeffs = [(int(counts[n_idx]), 1.0)]
-                coeffs += [(int(states[v, t]), -1.0) for v in present]
-                m.add_row(
-                    f"{label}[{node},{t}]",
-                    coeffs,
-                    SENSE_GE,
-                    0.0,
-                    meta=(label, node, t),
-                )
 
-    def add_counts_spc(self):
-        """Single-port: chargers track simultaneous connections; plug counts
-        equal charger counts."""
-        self._mark("counts")
-        self._count_rows("fast_chargers", "fast_plug", "spc_fast")
-        self._count_rows("slow_chargers", "slow_plug", "spc_slow")
-        m = self.model
-        for n_idx, node in enumerate(self.instance.node_ids):
-            m.add_row(
-                f"spc_fast_tie[{node}]",
-                [(m.column_of("fast_plugs", n_idx), 1.0), (m.column_of("fast_chargers", n_idx), -1.0)],
-                SENSE_EQ,
-                0.0,
-                meta=("spc_tie", node),
-            )
-            m.add_row(
-                f"spc_slow_tie[{node}]",
-                [(m.column_of("slow_plugs", n_idx), 1.0), (m.column_of("slow_chargers", n_idx), -1.0)],
-                SENSE_EQ,
-                0.0,
-                meta=("spc_tie", node),
-            )
+def _soc_constraints(m: MilpModel, inst: PlanInstance):
+    """Battery bounds at every interval plus the no-free-energy rule
+    (final SOC at least the initial one). The SOC is substituted as an
+    affine expression of the charge binaries and the initial SOC."""
+    fc, sc = m.family("fast_charge"), m.family("slow_charge")
+    z = m.family("soc_start")
+    V, T = fc.shape
+    ts = inst.schedule.ts_hours
+    cat = inst.catalog
+    vehicles = inst.vehicles
+    battery = np.array([veh.battery_kwh for veh in vehicles])
+    efficiency = np.array([veh.efficiency for veh in vehicles])
+    kf = efficiency * ts * cat.fast_kw / battery
+    ks = efficiency * ts * cat.slow_kw / battery
+    dis = (ts / battery)[:, None] * np.cumsum(inst.schedule.discharge_kw, axis=1)
 
-    def add_counts_mpc(self):
-        """Multi-port: charger conversion stages track simultaneous charging,
-        plugs track simultaneous connections. Slow chargers count charging
-        states by default; the literal variant counts connections."""
-        self._mark("counts")
-        self._count_rows("fast_chargers", "fast_charge", "mpc_fast_chargers")
-        slow_source = "slow_plug" if self.instance.mpc_slow_literal else "slow_charge"
-        self._count_rows("slow_chargers", slow_source, "mpc_slow_chargers")
-        self._count_rows("fast_plugs", "fast_plug", "mpc_fast_plugs")
-        self._count_rows("slow_plugs", "slow_plug", "mpc_slow_plugs")
+    # Per vehicle: soc_lo and soc_hi after each interval t, then soc_final.
+    base = (2 * T + 1) * np.arange(V)[:, None]
+    lo = base + 2 * np.arange(T)
+    final = base + 2 * T
+    after, charged = np.tril_indices(T)  # interval `charged` counts at the end of `after`
+    terms = [(lo + k, z[:, None], 1.0) for k in (0, 1)]
+    terms += [
+        (lo[:, after] + k, fam[:, charged], coef[:, None])
+        for k in (0, 1)
+        for fam, coef in ((fc, kf), (sc, ks))
+    ]
+    terms += [(final, fc, kf[:, None]), (final, sc, ks[:, None])]
+    rows, cols, vals = _coo(*terms)
 
-    def add_cost_objective(self):
-        self._mark("objective")
-        m = self.model
-        cat = self.instance.catalog
-        coeffs = []
-        prices = {
-            "fast_chargers": cat.fast_charger_cost,
-            "slow_chargers": cat.slow_charger_cost,
-            "fast_plugs": cat.fast_plug_cost,
-            "slow_plugs": cat.slow_plug_cost,
-        }
-        for fam, price in prices.items():
-            for j in m.family(fam).ravel():
-                coeffs.append((int(j), price))
-        m.set_objective(coeffs)
+    rhs = np.empty((V, 2 * T + 1))
+    rhs[:, 0:2 * T:2] = np.array([veh.soc_min for veh in vehicles])[:, None] + dis
+    rhs[:, 1:2 * T:2] = np.array([veh.soc_max for veh in vehicles])[:, None] + dis
+    rhs[:, 2 * T] = dis[:, T - 1]
+    names, metas = [], []
+    for v in range(V):
+        n, g = _labels([(v, t) for t in range(1, T + 1)], ("soc_lo", "soc_hi"))
+        names += n + [f"soc_final[{v}]"]
+        metas += g + [("soc_final", v)]
+    m.add_rows(names, rows, cols, vals, ([SENSE_GE, SENSE_LE] * T + [SENSE_GE]) * V, rhs.ravel(), metas)
 
-    def add_edge_detection(self):
-        """Connection/disconnection indicators from plug-state edges; the
-        fleet starts unplugged at the horizon boundary."""
-        self._mark("edges")
-        m = self.model
-        V, T = m.family("fast_plug").shape
-        pairs = (
-            ("fast_connect", "fast_disconnect", "fast_plug"),
-            ("slow_connect", "slow_disconnect", "slow_plug"),
+
+def _grid_coupling(m: MilpModel, inst: PlanInstance):
+    """Linearized voltage/current/transformer rows plus nodal apparent
+    power boxes, one block per interval, with the EV charging power as the
+    injection increment."""
+    fc, sc = m.family("fast_charge"), m.family("slow_charge")
+    cat = inst.catalog
+    for t, block in enumerate(inst.grid_rows):
+        v = np.flatnonzero(inst.parked_col[:, t] >= 0)
+        p, q = block.p_coef[:, inst.parked_col[v, t]], block.q_coef[:, inst.parked_col[v, t]]
+        r = np.arange(len(block))[:, None]
+        rows, cols, vals = _coo(
+            (r, fc[v, t], p * cat.fast_kw + q * cat.fast_kvar),
+            (r, sc[v, t], p * cat.slow_kw + q * cat.slow_kvar),
         )
-        for conn_f, disc_f, plug_f in pairs:
-            conn, disc, plug = m.family(conn_f), m.family(disc_f), m.family(plug_f)
-            for v in range(V):
-                for t in range(T):
-                    rise = [(int(conn[v, t]), 1.0), (int(plug[v, t]), -1.0)]
-                    fall = [(int(disc[v, t]), 1.0), (int(plug[v, t]), 1.0)]
-                    if t > 0:
-                        rise.append((int(plug[v, t - 1]), 1.0))
-                        fall.append((int(plug[v, t - 1]), -1.0))
-                    m.add_row(f"{conn_f}[{v},{t}]", rise, SENSE_GE, 0.0, meta=("edge", v, t))
-                    m.add_row(f"{disc_f}[{v},{t}]", fall, SENSE_GE, 0.0, meta=("edge", v, t))
+        rowid = list(zip(block.kind, block.subject.tolist()))
+        m.add_rows(
+            [f"grid[{t}]:{kind}[{subject}]" for kind, subject in rowid],
+            rows, cols, vals, SENSE_LE, block.rhs,
+            [("grid", t, kind, subject) for kind, subject in rowid],
+        )
 
-    def add_scenario(self):
-        """Driver-flexibility rules.
 
-        A (stiff): connect only on arriving at a stay, disconnect only when
-        leaving it. B (flexible): overnight stays as in A, but connections
-        are free during the midday stay with at most one disconnection
-        there. A vehicle already parked at t=0 may start plugged without the
-        event counting against the rules.
-        """
-        self._mark("scenario")
-        m = self.model
-        inst = self.instance
-        V, T = m.family("fast_plug").shape
-        for v in range(V):
-            tau = inst.schedule.stay_bounds[v]
-            single_stay = bool(np.all(tau < 0))
-            if single_stay:
-                # No driving legs: one stay covering the horizon, so the only
-                # connection opportunity is the start of the day.
-                allowed_c: set[int] = set()
-                allowed_d: set[int] = set() if inst.scenario == "A" else set(range(T))
-            elif np.any(tau < 0):
-                raise BuildError(f"vehicle {v}: scenario constraints need stay bounds")
-            else:
-                arr_home, dep_home, arr_work, dep_work = (int(x) for x in tau)
-                allowed_c = {arr_home}
-                if inst.scenario == "A":
-                    allowed_c.add(arr_work)
-                    allowed_d = {dep_home, dep_work}
-                else:
-                    allowed_c.update(range(arr_work, dep_work))
-                    allowed_d = set(range(T))
-            if inst.schedule.is_parked(v, 0):
-                allowed_c.add(0)
-            for fam, allowed in (
-                ("fast_connect", allowed_c),
-                ("slow_connect", allowed_c),
-                ("fast_disconnect", allowed_d),
-                ("slow_disconnect", allowed_d),
-            ):
-                cols = m.family(fam)
-                for t in range(T):
-                    if t not in allowed:
-                        m.set_bounds(int(cols[v, t]), 0.0, 0.0)
-            if inst.scenario == "B" and not single_stay:
-                window = range(arr_work, min(dep_work, T - 1) + 1)
-                for fam, label in (("fast_disconnect", "fast"), ("slow_disconnect", "slow")):
-                    cols = m.family(fam)
-                    m.add_row(
-                        f"midday_budget_{label}[{v}]",
-                        [(int(cols[v, t]), 1.0) for t in window],
-                        SENSE_LE,
-                        1.0,
-                        meta=("midday_budget", v),
-                    )
+def _count_rows(m: MilpModel, inst: PlanInstance, count_family: str, state_family: str, label: str):
+    """count[n] >= sum of the states of the vehicles parked at n, for every
+    (node, interval) where some vehicle is parked."""
+    counts, states = m.family(count_family), m.family(state_family)
+    parked_col = inst.parked_col
+    v, t = np.nonzero(parked_col >= 0)
+    n = parked_col[v, t]
+    present = np.zeros((len(inst.node_ids), inst.horizon), dtype=bool)
+    present[n, t] = True
+    row = np.cumsum(present).reshape(present.shape) - 1  # node-major, as the rows are laid out
+    pn, pt = np.nonzero(present)
+    rows, cols, vals = _coo((row[pn, pt], counts[pn], 1.0), (row[n, t], states[v, t], -1.0))
+    names, metas = _labels([(inst.node_ids[k], s) for k, s in zip(pn.tolist(), pt.tolist())], (label,))
+    m.add_rows(names, rows, cols, vals, SENSE_GE, 0.0, metas)
 
-    # -- finalize --------------------------------------------------------
 
-    REQUIRED = ("plug_logic", "soc", "grid", "counts", "objective", "edges", "scenario")
+def _counts_spc(m: MilpModel, inst: PlanInstance):
+    """Single-port: chargers track simultaneous connections; plug counts
+    equal charger counts."""
+    _count_rows(m, inst, "fast_chargers", "fast_plug", "spc_fast")
+    _count_rows(m, inst, "slow_chargers", "slow_plug", "spc_slow")
+    k = 2 * np.arange(len(inst.node_ids))
+    rows, cols, vals = _coo(
+        (k, m.family("fast_plugs"), 1.0), (k, m.family("fast_chargers"), -1.0),
+        (k + 1, m.family("slow_plugs"), 1.0), (k + 1, m.family("slow_chargers"), -1.0),
+    )
+    names, metas = _labels(
+        [(node,) for node in inst.node_ids], ("spc_fast_tie", "spc_slow_tie"), ("spc_tie", "spc_tie")
+    )
+    m.add_rows(names, rows, cols, vals, SENSE_EQ, 0.0, metas)
 
-    def build(self) -> MilpModel:
-        missing = [s for s in self.REQUIRED if s not in self._steps]
-        if missing:
-            raise BuildError(f"model incomplete, missing step(s): {', '.join(missing)}")
-        return self.model.freeze()
+
+def _counts_mpc(m: MilpModel, inst: PlanInstance):
+    """Multi-port: charger conversion stages track simultaneous charging,
+    plugs track simultaneous connections. Slow chargers count charging
+    states by default; the literal variant counts connections."""
+    _count_rows(m, inst, "fast_chargers", "fast_charge", "mpc_fast_chargers")
+    slow_source = "slow_plug" if inst.mpc_slow_literal else "slow_charge"
+    _count_rows(m, inst, "slow_chargers", slow_source, "mpc_slow_chargers")
+    _count_rows(m, inst, "fast_plugs", "fast_plug", "mpc_fast_plugs")
+    _count_rows(m, inst, "slow_plugs", "slow_plug", "mpc_slow_plugs")
+
+
+def _cost_objective(m: MilpModel, inst: PlanInstance):
+    cat = inst.catalog
+    m.set_objective(m.family("fast_chargers"), cat.fast_charger_cost)
+    m.set_objective(m.family("slow_chargers"), cat.slow_charger_cost)
+    m.set_objective(m.family("fast_plugs"), cat.fast_plug_cost)
+    m.set_objective(m.family("slow_plugs"), cat.slow_plug_cost)
+
+
+def _edge_detection(m: MilpModel, inst: PlanInstance):
+    """Connection/disconnection indicators from plug-state edges; the
+    fleet starts unplugged at the horizon boundary."""
+    V, T = m.family("fast_plug").shape
+    # Per (v, t): the connect row, then the disconnect row.
+    r = 2 * np.arange(V * T).reshape(V, T)
+    for kind in ("fast", "slow"):
+        conn, disc, plug = (m.family(f"{kind}_{f}") for f in ("connect", "disconnect", "plug"))
+        rows, cols, vals = _coo(
+            (r, conn, 1.0), (r, plug, -1.0), (r[:, 1:], plug[:, :-1], 1.0),
+            (r + 1, disc, 1.0), (r + 1, plug, 1.0), (r[:, 1:] + 1, plug[:, :-1], -1.0),
+        )
+        names, metas = _labels(list(np.ndindex(V, T)), (f"{kind}_connect", f"{kind}_disconnect"), ("edge", "edge"))
+        m.add_rows(names, rows, cols, vals, SENSE_GE, 0.0, metas)
+
+
+def _scenario(m: MilpModel, inst: PlanInstance):
+    """Driver-flexibility rules.
+
+    A (stiff): connect only on arriving at a stay, disconnect only when
+    leaving it. B (flexible): overnight stays as in A, but connections
+    are free during the midday stay with at most one disconnection
+    there. A vehicle already parked at t=0 may start plugged without the
+    event counting against the rules.
+    """
+    V, T = m.family("fast_plug").shape
+    tau = inst.schedule.stay_bounds
+    # No driving legs: one stay covering the horizon, so the only
+    # connection opportunity is the start of the day. Its negative stay
+    # bounds match no interval below.
+    single_stay = np.all(tau < 0, axis=1)
+    partial = np.flatnonzero(np.any(tau < 0, axis=1) & ~single_stay)
+    if partial.size:
+        raise BuildError(f"vehicle {partial[0]}: scenario constraints need stay bounds")
+    arr_home, dep_home, arr_work, dep_work = (tau[:, k, None] for k in range(4))
+    t = np.arange(T)
+    if inst.scenario == "A":
+        allowed_c = (t == arr_home) | (t == arr_work)
+        allowed_d = (t == dep_home) | (t == dep_work)
+    else:
+        allowed_c = (t == arr_home) | ((arr_work <= t) & (t < dep_work))
+        allowed_d = np.ones((V, T), dtype=bool)
+    allowed_c[:, 0] |= inst.schedule.parked[:, 0].any(axis=1)
+    for fam, allowed in (
+        ("fast_connect", allowed_c),
+        ("slow_connect", allowed_c),
+        ("fast_disconnect", allowed_d),
+        ("slow_disconnect", allowed_d),
+    ):
+        m.set_bounds(m.family(fam)[~allowed], 0.0, 0.0)
+    if inst.scenario == "B":
+        budget = np.flatnonzero(~single_stay)
+        k, s = np.nonzero(((arr_work <= t) & (t <= dep_work))[budget])
+        rows, cols, vals = _coo(
+            (2 * k, m.family("fast_disconnect")[budget[k], s], 1.0),
+            (2 * k + 1, m.family("slow_disconnect")[budget[k], s], 1.0),
+        )
+        names, metas = _labels(
+            [(v,) for v in budget.tolist()], ("midday_budget_fast", "midday_budget_slow"), ("midday_budget",) * 2
+        )
+        m.add_rows(names, rows, cols, vals, SENSE_LE, 1.0, metas)
 
 
 def build_plan_model(instance: PlanInstance) -> MilpModel:
-    """Run all assembly steps in canonical order."""
-    b = PlanModelBuilder(instance)
-    b.add_plug_logic()
-    b.add_soc_constraints()
-    b.add_grid_coupling()
+    """Assemble and freeze the planning MILP: the column families, then the
+    constraint families in canonical order."""
+    issues = validate_schedule(instance.schedule)
+    if issues:
+        raise ScheduleError("invalid schedule: " + "; ".join(issues[:5]))
+    m = _columns(instance)
+    _plug_logic(m, instance)
+    _soc_constraints(m, instance)
+    _grid_coupling(m, instance)
     if instance.chargers == "spc":
-        b.add_counts_spc()
+        _counts_spc(m, instance)
     else:
-        b.add_counts_mpc()
-    b.add_cost_objective()
-    b.add_edge_detection()
-    b.add_scenario()
-    return b.build()
+        _counts_mpc(m, instance)
+    _cost_objective(m, instance)
+    _edge_detection(m, instance)
+    _scenario(m, instance)
+    return m.freeze()

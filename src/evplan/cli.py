@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import sys
 from pathlib import Path
 
@@ -94,7 +95,8 @@ def _build_parser():
     p.add_argument("--node-limit", type=int)
     p.add_argument("--import", dest="import_path", type=Path,
                    help="solution file (column value lines) instead of solving")
-    p.add_argument("--verbose", action="store_true")
+    p.add_argument("--verbose", action="store_true",
+                   help="log search progress to stderr every 10 s")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("report", help="tables and profiles from solved cases")
@@ -224,6 +226,8 @@ def _solution_payload(instance, solution: PlanSolution, label: str) -> dict:
         "bound": solution.bound,
         "gap": solution.gap,
         "nodes": solution.nodes,
+        "lp_iterations": solution.lp_iterations,
+        "runtime_s": solution.runtime_s,
         "counts": {k: [int(x) for x in v] for k, v in (solution.counts or {}).items()},
         "node_ids": list(instance.node_ids),
         "soc_start": (
@@ -264,6 +268,8 @@ def cmd_solve(args) -> int:
             soc=soc_series(instance, assignment),
         )
     else:
+        if args.verbose:
+            logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(message)s")
         config = SolverConfig(
             gap=float(_arg(args, cfg, "gap", 0.10)),
             node_limit=_arg(args, cfg, "node-limit"),

@@ -15,7 +15,7 @@ import numpy as np
 from .demand import NetDemandProfile
 from .errors import ParameterError
 from .fleet import ChargerCatalog, FleetSchedule, Vehicle
-from .linear_grid import GridLimits, LinearInequality, linear_grid_constraints
+from .linear_grid import GridLimits, GridRows, linear_grid_constraints
 from .loadflow import solve_load_flow
 from .network import BusNetwork
 from .sensitivity import SensitivityCoefficients, compute_sensitivities
@@ -64,7 +64,8 @@ class PlanInstance:
         return self.network.node_ids
 
     @cached_property
-    def grid_rows(self) -> list[list[LinearInequality]]:
+    def grid_rows(self) -> list[GridRows]:
+        """One block of linearized grid rows per interval."""
         if len(self.linearizations) != self.horizon:
             raise ParameterError(
                 f"missing sensitivity sets: have {len(self.linearizations)}, "

@@ -6,7 +6,9 @@ Every constraint is canonicalized as
 
 where (dP, dQ) are demand increments in kW/kVAr at the non-slack nodes,
 relative to the linearization point. The base-point value is folded into
-``rhs``, so a zero increment satisfies every row of a feasible point.
+``rhs``, so a zero increment satisfies every row of a feasible point. One
+linearization point gives one ``GridRows`` block: the rows' coefficients
+as two (rows x nodes) matrices and their right-hand sides as a vector.
 """
 
 from __future__ import annotations
@@ -36,16 +38,22 @@ class GridLimits:
 
 
 @dataclass(frozen=True)
-class LinearInequality:
-    kind: str  # v_lo / v_hi / i_hi / s0_hi / box_lo / box_hi
-    subject: int  # bus id or line index
+class GridRows:
+    """Rows ``p_coef @ dP + q_coef @ dQ <= rhs`` of one linearization point.
+
+    ``kind[r]`` is v_lo / v_hi / i_hi / s0_hi / box_lo / box_hi and
+    ``subject[r]`` the bus id or line index the row limits. ``p_coef`` and
+    ``q_coef`` are (rows, nodes), ``rhs`` is (rows,).
+    """
+
+    kind: list[str]
+    subject: np.ndarray
     p_coef: np.ndarray
     q_coef: np.ndarray
-    rhs: float
+    rhs: np.ndarray
 
-    def margin(self, dp: np.ndarray, dq: np.ndarray) -> float:
-        """rhs minus lhs; negative means violated."""
-        return float(self.rhs - self.p_coef @ dp - self.q_coef @ dq)
+    def __len__(self) -> int:
+        return len(self.rhs)
 
 
 def apparent_power_box(rating_kva: float, cos_phi_lb: float) -> tuple[float, float]:
@@ -62,64 +70,57 @@ def apparent_power_box(rating_kva: float, cos_phi_lb: float) -> tuple[float, flo
     return -bound, bound
 
 
+def _pairs(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Interleave two row stacks: lo[0], hi[0], lo[1], hi[1], ..."""
+    return np.stack([lo, hi], axis=1).reshape(-1, *lo.shape[1:])
+
+
 def linear_grid_constraints(
     sens: SensitivityCoefficients,
     network: BusNetwork,
     limits: GridLimits,
-) -> list[LinearInequality]:
-    """Inequalities for one linearization point, ordered voltage rows (lo, hi
-    per node), current rows, slack row, then box rows (lo, hi per rated node).
+) -> GridRows:
+    """Rows for one linearization point, ordered voltage rows (lo, hi per
+    node), current rows, slack row, then box rows (lo, hi per rated node).
 
     Raises InfeasibleBasePointError when the point itself violates a limit.
     """
     point = sens.point
-    m = len(sens.node_ids)
-    rows: list[LinearInequality] = []
-    zeros = np.zeros(m)
+    nodes = np.array(network.node_ids, dtype=int)
+    bus = np.array([network.bus_index(b) for b in nodes], dtype=int)
+    rated = np.array([k for k, i in enumerate(bus) if network.buses[i].rating_kva is not None], dtype=int)
+    lo, hi = np.array(
+        [apparent_power_box(network.buses[i].rating_kva, network.buses[i].power_factor) for i in bus[rated]]
+    ).reshape(-1, 2).T
+    # lo <= p0 + dP_n <= hi at each rated node n.
+    p0 = point.p_kw[bus[rated]]
+    unit = np.eye(len(nodes))[rated]
 
-    for bus_id in network.node_ids:
-        i = network.bus_index(bus_id)
-        v0 = point.voltage_pu[i]
+    def coefficients(dv, di, ds0, box):
         # v_lo:  v_min <= v0 + dv . d  ->  -dv . d <= v0 - v_min
-        rows.append(
-            LinearInequality("v_lo", bus_id, -sens.dv_dp[i], -sens.dv_dq[i], v0 - limits.v_min_pu)
-        )
-        rows.append(
-            LinearInequality("v_hi", bus_id, sens.dv_dp[i].copy(), sens.dv_dq[i].copy(), limits.v_max_pu - v0)
-        )
+        return np.concatenate([_pairs(-dv[bus], dv[bus]), di, ds0[None], _pairs(-box, box)])
 
-    for k, ln in enumerate(network.lines):
-        rows.append(
-            LinearInequality(
-                "i_hi", k, sens.di_dp[k].copy(), sens.di_dq[k].copy(), ln.ampacity_a - point.current_a[k]
-            )
-        )
-
-    rows.append(
-        LinearInequality(
-            "s0_hi", network.slack_bus, sens.ds0_dp.copy(), sens.ds0_dq.copy(),
-            network.transformer_kva - point.slack_kva,
-        )
+    v0 = point.voltage_pu[bus]
+    rows = GridRows(
+        kind=["v_lo", "v_hi"] * len(nodes) + ["i_hi"] * network.n_lines + ["s0_hi"]
+        + ["box_lo", "box_hi"] * len(rated),
+        subject=np.concatenate(
+            [np.repeat(nodes, 2), np.arange(network.n_lines), [network.slack_bus], np.repeat(nodes[rated], 2)]
+        ),
+        p_coef=coefficients(sens.dv_dp, sens.di_dp, sens.ds0_dp, unit),
+        q_coef=coefficients(sens.dv_dq, sens.di_dq, sens.ds0_dq, np.zeros_like(unit)),
+        rhs=np.concatenate([
+            _pairs(v0 - limits.v_min_pu, limits.v_max_pu - v0),
+            np.array([ln.ampacity_a for ln in network.lines]) - point.current_a,
+            [network.transformer_kva - point.slack_kva],
+            _pairs(p0 - lo, hi - p0),
+        ]),
     )
-
-    for bus_id in network.node_ids:
-        bus = network.buses[network.bus_index(bus_id)]
-        if bus.rating_kva is None:
-            continue
-        lo, hi = apparent_power_box(bus.rating_kva, bus.power_factor)
-        p0 = point.p_kw[network.bus_index(bus_id)]
-        col = sens.node_ids.index(bus_id)
-        ep = zeros.copy()
-        ep[col] = 1.0
-        # lo <= p0 + dP_n <= hi
-        rows.append(LinearInequality("box_lo", bus_id, -ep, zeros.copy(), p0 - lo))
-        rows.append(LinearInequality("box_hi", bus_id, ep, zeros.copy(), hi - p0))
-
-    violated = [(r.kind, r.subject, r.rhs) for r in rows if r.rhs < -BASE_POINT_TOL]
-    if violated:
+    bad = np.flatnonzero(rows.rhs < -BASE_POINT_TOL)
+    if bad.size:
         raise InfeasibleBasePointError(
-            f"linearization point violates {len(violated)} operating limit(s)",
-            violations=violated,
+            f"linearization point violates {bad.size} operating limit(s)",
+            violations=[(rows.kind[r], int(rows.subject[r]), float(rows.rhs[r])) for r in bad],
         )
     return rows
 

@@ -2,8 +2,10 @@
 
 Columns are created through named families (e.g. ``fast_charge`` shaped
 (V, T)), which keeps the mapping between matrix indices and planning
-quantities bijective in both directions. Models are mutable while being
-assembled and immutable once frozen.
+quantities bijective in both directions. Rows arrive as blocks: a block's
+coefficients are COO arrays (row within the block, column, value), and
+``freeze`` concatenates the blocks into one CSR matrix. Models are mutable
+while being assembled and immutable once frozen.
 """
 
 from __future__ import annotations
@@ -26,15 +28,15 @@ class MilpModel:
         self._frozen = False
         self.col_names: list[str] = []
         self.col_kind: list[str] = []
-        self._lb: list[float] = []
-        self._ub: list[float] = []
-        self._obj: list[float] = []
+        self._lb = np.zeros(0)
+        self._ub = np.zeros(0)
+        self._obj = np.zeros(0)
         self.col_meta: list[tuple] = []
         self.row_names: list[str] = []
         self.row_sense: list[str] = []
-        self._rhs: list[float] = []
         self.row_meta: list[tuple] = []
-        self._entries: list[tuple[int, int, float]] = []
+        # One (rows, cols, vals, rhs) block per add_rows call, rows global.
+        self._blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
         self._families: dict[str, np.ndarray] = {}
         # Frozen arrays
         self.A: sp.csr_matrix | None = None
@@ -50,79 +52,102 @@ class MilpModel:
         if self._frozen:
             raise BuildError("model is frozen")
 
-    def add_column(self, name, kind, lb, ub, obj=0.0, meta=()) -> int:
+    def _add_columns(self, names, kind, lb, ub, obj, metas) -> np.ndarray:
         self._check_mutable()
-        if kind == BINARY and (lb, ub) != (0.0, 1.0):
-            raise BuildError(f"binary column {name} must have bounds [0, 1]")
-        j = len(self.col_names)
-        self.col_names.append(name)
-        self.col_kind.append(kind)
-        self._lb.append(float(lb))
-        self._ub.append(float(ub))
-        self._obj.append(float(obj))
-        self.col_meta.append(meta)
-        return j
+        n = len(names)
+        lb, ub, obj = (np.full(n, a, dtype=float) for a in (lb, ub, obj))
+        bad = np.flatnonzero((lb != 0.0) | (ub != 1.0)) if kind == BINARY else []
+        if len(bad):
+            raise BuildError(f"binary column {names[bad[0]]} must have bounds [0, 1]")
+        j0 = self.n_cols
+        self.col_names += names
+        self.col_kind += [kind] * n
+        self.col_meta += metas
+        self._lb = np.concatenate([self._lb, lb])
+        self._ub = np.concatenate([self._ub, ub])
+        self._obj = np.concatenate([self._obj, obj])
+        return np.arange(j0, j0 + n)
+
+    def add_column(self, name, kind, lb, ub, obj=0.0, meta=()) -> int:
+        return int(self._add_columns([name], kind, lb, ub, obj, [meta])[0])
 
     def add_family(self, family: str, shape: tuple[int, ...], kind: str,
-                   lb=0.0, ub=1.0, labels=None) -> np.ndarray:
-        """Allocate a block of columns; returns their indices shaped ``shape``."""
+                   lb=0.0, ub=1.0) -> np.ndarray:
+        """Allocate a block of columns named ``family[i_j]``; returns their
+        indices shaped ``shape``. ``lb``/``ub`` are one value, or one per
+        column in C order."""
         self._check_mutable()
         if family in self._families:
             raise BuildError(f"family {family} added twice")
-        idx = np.empty(shape, dtype=int)
-        for pos in np.ndindex(*shape):
-            label = "_".join(str(x) for x in pos) if labels is None else labels(pos)
-            idx[pos] = self.add_column(
-                f"{family}[{label}]", kind, lb, ub, meta=(family, pos)
-            )
+        pos = list(np.ndindex(*shape))
+        idx = self._add_columns(
+            [f"{family}[{'_'.join(map(str, p))}]" for p in pos], kind,
+            np.ravel(lb), np.ravel(ub), 0.0,
+            [(family, p) for p in pos],
+        ).reshape(shape)
         self._families[family] = idx
         return idx
 
+    def add_rows(self, names, rows, cols, vals, sense, rhs, metas) -> np.ndarray:
+        """Append ``len(names)`` rows from COO arrays; ``rows`` counts from 0
+        within the block. Zero values are dropped and duplicates summed.
+        ``sense`` and ``rhs`` are one value for every row or one per row.
+        Returns the new rows' indices."""
+        self._check_mutable()
+        n = len(names)
+        senses = [sense] * n if isinstance(sense, str) else list(sense)
+        if not set(senses) <= {SENSE_LE, SENSE_GE, SENSE_EQ}:
+            raise BuildError(f"unknown sense in {sorted(set(senses))!r}")
+        rows, cols = (np.asarray(a, dtype=np.int64).ravel() for a in (rows, cols))
+        vals = np.asarray(vals, dtype=float).ravel()
+        if np.any((rows < 0) | (rows >= n)):
+            raise BuildError(f"block of {n} rows has entries outside it")
+        bad = np.flatnonzero((cols < 0) | (cols >= self.n_cols))
+        if bad.size:
+            raise BuildError(f"row {names[rows[bad[0]]]} references undefined column {cols[bad[0]]}")
+        keep = vals != 0.0
+        r0 = self.n_rows
+        self._blocks.append(
+            (rows[keep] + r0, cols[keep], vals[keep], np.full(n, rhs, dtype=float))
+        )
+        self.row_names += names
+        self.row_sense += senses
+        self.row_meta += metas
+        return np.arange(r0, r0 + n)
+
     def add_row(self, name, coeffs, sense, rhs, meta=()) -> int:
         """coeffs: iterable of (column, value); duplicates are summed."""
-        self._check_mutable()
-        if sense not in (SENSE_LE, SENSE_GE, SENSE_EQ):
-            raise BuildError(f"unknown sense {sense!r}")
-        r = len(self.row_names)
-        ncols = len(self.col_names)
-        for j, a in coeffs:
-            if not 0 <= j < ncols:
-                raise BuildError(f"row {name} references undefined column {j}")
-            if a != 0.0:
-                self._entries.append((r, int(j), float(a)))
-        self.row_names.append(name)
-        self.row_sense.append(sense)
-        self._rhs.append(float(rhs))
-        self.row_meta.append(meta)
-        return r
+        pairs = list(coeffs)
+        cols = [j for j, _ in pairs]
+        vals = [a for _, a in pairs]
+        return int(self.add_rows([name], np.zeros(len(pairs), dtype=int), cols, vals, sense, rhs, [meta])[0])
 
-    def set_objective(self, coeffs):
+    def set_objective(self, cols, vals):
+        """Objective coefficients ``vals`` (one value or one per column) on
+        the columns ``cols``."""
         self._check_mutable()
-        for j, a in coeffs:
-            self._obj[j] = float(a)
+        self._obj[cols] = vals
 
-    def set_bounds(self, j: int, lb: float, ub: float):
+    def set_bounds(self, cols, lb: float, ub: float):
+        """Bounds [lb, ub] on the columns ``cols`` (an index or an index array)."""
         self._check_mutable()
         if lb > ub:
-            raise BuildError(f"column {self.col_names[j]}: lb {lb} > ub {ub}")
-        self._lb[j] = float(lb)
-        self._ub[j] = float(ub)
+            raise BuildError(f"lb {lb} > ub {ub}")
+        self._lb[cols] = lb
+        self._ub[cols] = ub
 
     def freeze(self) -> "MilpModel":
         self._check_mutable()
         n, m = len(self.col_names), len(self.row_names)
-        if self._entries:
-            r, c, v = zip(*self._entries)
-            self.A = sp.coo_matrix((v, (r, c)), shape=(m, n)).tocsr()
-            self.A.sum_duplicates()
-        else:
-            self.A = sp.csr_matrix((m, n))
-        self.lb = np.asarray(self._lb)
-        self.ub = np.asarray(self._ub)
-        self.obj = np.asarray(self._obj)
-        self.rhs = np.asarray(self._rhs)
+        empty = (np.zeros(0, dtype=np.int64),) * 2 + (np.zeros(0),) * 2
+        r, c, v, rhs = (np.concatenate(parts) for parts in zip(empty, *self._blocks))
+        self.A = sp.coo_matrix((v, (r, c)), shape=(m, n)).tocsr()  # sums duplicates
+        self.lb = self._lb
+        self.ub = self._ub
+        self.obj = self._obj
+        self.rhs = rhs
         self.is_int = np.asarray([k == BINARY for k in self.col_kind])
-        self._entries = []
+        self._blocks = []
         self._frozen = True
         return self
 
@@ -165,23 +190,24 @@ class MilpModel:
 
     def check_point(self, x: np.ndarray, tol: float = 1e-6) -> list[str]:
         """Constraint/bound/integrality violations of a full assignment."""
-        issues = []
-        if np.any(x < self.lb - tol) or np.any(x > self.ub + tol):
-            for j in np.flatnonzero((x < self.lb - tol) | (x > self.ub + tol)):
-                issues.append(f"column {self.col_names[j]} = {x[j]:.6g} outside bounds")
+        issues = [
+            f"column {self.col_names[j]} = {x[j]:.6g} outside bounds"
+            for j in np.flatnonzero((x < self.lb - tol) | (x > self.ub + tol))
+        ]
         act = self.row_activity(x)
-        for r in range(self.n_rows):
-            s, b = self.row_sense[r], self.rhs[r]
-            bad = (
-                (s == SENSE_LE and act[r] > b + tol)
-                or (s == SENSE_GE and act[r] < b - tol)
-                or (s == SENSE_EQ and abs(act[r] - b) > tol)
-            )
-            if bad:
-                issues.append(
-                    f"row {self.row_names[r]}: activity {act[r]:.6g} {s} {b:.6g} violated"
-                )
+        sense = np.asarray(self.row_sense)
+        bad = (
+            ((sense == SENSE_LE) & (act > self.rhs + tol))
+            | ((sense == SENSE_GE) & (act < self.rhs - tol))
+            | ((sense == SENSE_EQ) & (np.abs(act - self.rhs) > tol))
+        )
+        issues += [
+            f"row {self.row_names[r]}: activity {act[r]:.6g} {self.row_sense[r]} {self.rhs[r]:.6g} violated"
+            for r in np.flatnonzero(bad)
+        ]
         frac = np.abs(x - np.round(x))
-        for j in np.flatnonzero(self.is_int & (frac > tol)):
-            issues.append(f"column {self.col_names[j]} = {x[j]:.6g} not integral")
+        issues += [
+            f"column {self.col_names[j]} = {x[j]:.6g} not integral"
+            for j in np.flatnonzero(self.is_int & (frac > tol))
+        ]
         return issues

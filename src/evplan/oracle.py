@@ -255,10 +255,8 @@ class _Search:
     def _grid_ok(self, t, sums) -> bool:
         dp = sums[:, 0] * self.kw[0] + sums[:, 1] * self.kw[1]
         dq = sums[:, 0] * self.kvar[0] + sums[:, 1] * self.kvar[1]
-        for row in self.inst.grid_rows[t]:
-            if row.p_coef @ dp + row.q_coef @ dq > row.rhs + 1e-9:
-                return False
-        return True
+        rows = self.inst.grid_rows[t]
+        return bool(np.all(rows.p_coef @ dp + rows.q_coef @ dq <= rows.rhs + 1e-9))
 
     def _leaf(self):
         self.leaves += 1

@@ -126,13 +126,12 @@ def _check_soc(inst, asg, rep):
 
 def _check_grid(inst, asg, rep):
     dp, dq = inst.ev_injections(asg.fast_charge, asg.slow_charge)
-    for t in range(inst.horizon):
-        for row in inst.grid_rows[t]:
-            margin = row.margin(dp[:, t], dq[:, t])
-            if margin < -GRID_TOL * max(1.0, abs(row.rhs)):
-                rep.violations.append(
-                    Violation(f"grid_{row.kind}", (t, row.subject), f"margin {margin:.3e}")
-                )
+    for t, rows in enumerate(inst.grid_rows):
+        margin = rows.rhs - rows.p_coef @ dp[:, t] - rows.q_coef @ dq[:, t]
+        for r in np.flatnonzero(margin < -GRID_TOL * np.maximum(1.0, np.abs(rows.rhs))):
+            rep.violations.append(
+                Violation(f"grid_{rows.kind[r]}", (t, int(rows.subject[r])), f"margin {margin[r]:.3e}")
+            )
 
 
 def _check_driver_rules(inst, asg, rep):

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -54,6 +56,16 @@ def test_node_limit_reports_limit():
     assert res.status in ("limit", "optimal")
     if res.status == "limit":
         assert res.bound > -np.inf
+
+
+def test_progress_is_logged_at_info(caplog):
+    with caplog.at_level(logging.INFO, logger="evplan.bnb"):
+        model = build_plan_model(tiny_instance(seed=7, scenario="A", chargers="spc"))
+        solve_bnb(model, SolverConfig(gap=0.0, log_interval_s=0.0))
+    progress = [r for r in caplog.records if r.name == "evplan.bnb"]
+    assert progress and all(r.levelno == logging.INFO for r in progress)
+    assert progress[0].getMessage().startswith("[bnb] ")
+    assert " nodes=" in progress[0].getMessage() and " bound=" in progress[0].getMessage()
 
 
 def test_bound_never_exceeds_objective():

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from evplan.builder import PlanModelBuilder, build_plan_model
-from evplan.errors import BuildError, ScheduleError
+from evplan.builder import build_plan_model
+from evplan.errors import EvPlanError, ScheduleError
 from evplan.fleet import FleetSchedule
 from evplan.milp import SENSE_GE, SENSE_LE
 
@@ -171,22 +171,40 @@ def test_builder_rejects_double_parking(inst_a):
     from dataclasses import replace
 
     with pytest.raises(ScheduleError):
-        PlanModelBuilder(replace(inst_a, schedule=sched))
+        build_plan_model(replace(inst_a, schedule=sched))
 
 
-def test_build_requires_all_steps(inst_a):
-    b = PlanModelBuilder(inst_a)
-    b.add_plug_logic()
-    with pytest.raises(BuildError) as err:
-        b.build()
-    assert "soc" in str(err.value)
+def test_missing_linearization_fails_to_build(inst_a):
+    from dataclasses import replace
+
+    short = replace(inst_a, linearizations=inst_a.linearizations[:-1])
+    with pytest.raises(EvPlanError):
+        build_plan_model(short)
 
 
-def test_duplicate_step_rejected(inst_a):
-    b = PlanModelBuilder(inst_a)
-    b.add_plug_logic()
-    with pytest.raises(BuildError):
-        b.add_plug_logic()
+@pytest.mark.parametrize("chargers", ["spc", "mpc"])
+def test_grid_coupling_matches_grid_rows(chargers):
+    # Row k of hour t carries P[k, n] * kW + Q[k, n] * kVAr on the charge
+    # column of every vehicle parked at node n in hour t, and nothing else.
+    inst = tiny_instance(seed=101, scenario="B", chargers=chargers)
+    model = build_plan_model(inst)
+    cat = inst.catalog
+    grid = np.array([meta[:1] == ("grid",) for meta in model.row_meta])
+    expected = np.zeros((model.n_rows, model.n_cols))
+    for t, block in enumerate(inst.grid_rows):
+        rows = [r for r, meta in enumerate(model.row_meta) if meta[:2] == ("grid", t)]
+        assert len(rows) == len(block)
+        assert [model.row_meta[r][2:] for r in rows] == list(zip(block.kind, block.subject.tolist()))
+        assert np.array_equal(model.rhs[rows], block.rhs)
+        for v in range(inst.n_vehicles):
+            n = inst.parked_col[v, t]
+            if n < 0:
+                continue
+            for fam, kw, kvar in (("fast_charge", cat.fast_kw, cat.fast_kvar),
+                                  ("slow_charge", cat.slow_kw, cat.slow_kvar)):
+                expected[rows, model.column_of(fam, v, t)] = block.p_coef[:, n] * kw + block.q_coef[:, n] * kvar
+    assert inst.parked_col.min() < 0 <= inst.parked_col.max()
+    assert np.array_equal(model.A.toarray()[grid], expected[grid])
 
 
 def test_edge_boundary_row_at_first_interval(inst_a, model_a):

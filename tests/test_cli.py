@@ -99,6 +99,8 @@ def test_solve_and_import_round_trip(tiny_files, tmp_path):
     doc = json.loads((tmp_path / "solution_spc-A.json").read_text())
     assert doc["status"] == "optimal"
     assert doc["verification"]["ok"] is True
+    assert isinstance(doc["lp_iterations"], int) and doc["lp_iterations"] > 0
+    assert doc["runtime_s"] > 0.0
 
     from evplan.oracle import brute_force_oracle
 
@@ -113,6 +115,7 @@ def test_solve_and_import_round_trip(tiny_files, tmp_path):
     assert rc == 0
     doc2 = json.loads((tmp_path / "imp" / "solution_spc-A.json").read_text())
     assert doc2["objective"] == pytest.approx(doc["objective"], abs=1e-6)
+    assert (doc2["lp_iterations"], doc2["runtime_s"]) == (0, 0.0)
 
 
 def build_args(src, out, demand=None):

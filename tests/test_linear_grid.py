@@ -53,30 +53,34 @@ def test_row_layout_and_base_point_feasible(cigre_network, sens18):
     rated = sum(
         1 for b in cigre_network.buses if b.rating_kva is not None and b.id != 0
     )
-    assert sum(1 for r in rows if r.kind in ("v_lo", "v_hi")) == 2 * n
-    assert sum(1 for r in rows if r.kind == "i_hi") == cigre_network.n_lines
-    assert sum(1 for r in rows if r.kind == "s0_hi") == 1
-    assert sum(1 for r in rows if r.kind.startswith("box")) == 2 * rated
+    assert rows.kind == (
+        ["v_lo", "v_hi"] * n + ["i_hi"] * cigre_network.n_lines + ["s0_hi"] + ["box_lo", "box_hi"] * rated
+    )
+    assert rows.subject[: 2 * n].tolist() == [b for b in cigre_network.node_ids for _ in range(2)]
     m = len(sens18.node_ids)
-    zeros = np.zeros(m)
-    for row in rows:
-        assert row.margin(zeros, zeros) >= -1e-9
+    assert len(rows) == len(rows.kind) == len(rows.subject) == len(rows.rhs)
+    assert rows.p_coef.shape == rows.q_coef.shape == (len(rows), m)
+    assert np.all(rows.rhs >= -1e-9)
 
 
 def test_binding_voltage_row_found_by_solving_the_inequality(cigre_network, sens18):
     limits = GridLimits(0.97, 1.03)
     rows = linear_grid_constraints(sens18, cigre_network, limits)
-    row = next(r for r in rows if r.kind == "v_lo" and r.subject == 11)
+    r = next(r for r, (kind, bus) in enumerate(zip(rows.kind, rows.subject)) if (kind, bus) == ("v_lo", 11))
     col = sens18.node_ids.index(11)
     # Crossing increment solves coef * dP = rhs for the single node.
-    coef = row.p_coef[col]
+    coef = rows.p_coef[r, col]
     assert coef > 0.0
-    crossing = row.rhs / coef
+    crossing = rows.rhs[r] / coef
     dp = np.zeros(len(sens18.node_ids))
+
+    def margin(dp):
+        return (rows.rhs - rows.p_coef @ dp - rows.q_coef @ np.zeros_like(dp))[r]
+
     dp[col] = crossing * 1.001
-    assert row.margin(dp, np.zeros_like(dp)) < 0.0
+    assert margin(dp) < 0.0
     dp[col] = crossing * 0.999
-    assert row.margin(dp, np.zeros_like(dp)) > 0.0
+    assert margin(dp) > 0.0
 
 
 def test_infeasible_base_point_raises(cigre_network, sens18):

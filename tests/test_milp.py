@@ -1,0 +1,58 @@
+import numpy as np
+import pytest
+
+from evplan.errors import BuildError
+from evplan.milp import BINARY, CONTINUOUS, SENSE_EQ, SENSE_GE, SENSE_LE, MilpModel
+
+
+def small_model() -> MilpModel:
+    m = MilpModel()
+    a = m.add_column("a", BINARY, 0, 1)
+    b = m.add_column("b", BINARY, 0, 1)
+    c = m.add_column("c", CONTINUOUS, 0.0, 2.0)
+    m.add_row("cap", [(a, 1.0), (b, 1.0)], SENSE_LE, 1.0)
+    m.add_row("need", [(c, 1.0)], SENSE_GE, 1.0)
+    m.add_row("tie", [(a, 1.0), (c, -1.0)], SENSE_EQ, 0.0)
+    return m.freeze()
+
+
+def test_check_point_messages():
+    # a is fractional, c is above its bound, and the tie row breaks.
+    m = small_model()
+    assert m.check_point(np.array([0.5, 0.0, 3.0])) == [
+        "column c = 3 outside bounds",
+        "row tie: activity -2.5 E 0 violated",
+        "column a = 0.5 not integral",
+    ]
+    assert m.check_point(np.array([1.0, 0.0, 1.0])) == []
+
+
+def test_row_block_matches_single_rows():
+    # One block of two rows equals the same rows added one by one: zero
+    # values are dropped and duplicates summed.
+    m = MilpModel()
+    cols = m.add_family("x", (3,), CONTINUOUS, lb=0.0, ub=[1.0, 2.0, 3.0])
+    rows = m.add_rows(
+        ["r[0]", "r[1]"], [0, 0, 0, 1, 1], [cols[0], cols[1], cols[0], cols[2], cols[1]],
+        [1.0, 0.0, 2.0, -1.0, 4.0], [SENSE_LE, SENSE_GE], [5.0, 6.0], [("r", 0), ("r", 1)],
+    )
+    assert rows.tolist() == [0, 1]
+    m.freeze()
+    one = MilpModel()
+    for j in range(3):
+        one.add_column(f"x[{j}]", CONTINUOUS, 0.0, j + 1.0, meta=("x", (j,)))
+    one.add_row("r[0]", [(0, 3.0)], SENSE_LE, 5.0, meta=("r", 0))
+    one.add_row("r[1]", [(2, -1.0), (1, 4.0)], SENSE_GE, 6.0, meta=("r", 1))
+    one.freeze()
+    assert m.A.nnz == 3 and (m.A != one.A).nnz == 0
+    for field in ("rhs", "lb", "ub", "obj", "is_int"):
+        assert np.array_equal(getattr(m, field), getattr(one, field))
+    for field in ("row_names", "row_sense", "row_meta", "col_names", "col_meta"):
+        assert getattr(m, field) == getattr(one, field)
+
+
+def test_rows_reject_undefined_columns():
+    m = MilpModel()
+    m.add_column("a", BINARY, 0, 1)
+    with pytest.raises(BuildError, match="row r references undefined column 3"):
+        m.add_row("r", [(0, 1.0), (3, 1.0)], SENSE_LE, 1.0)

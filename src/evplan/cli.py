@@ -309,7 +309,7 @@ def _case_from_payload(path: Path, base_args, cfg) -> StudyCase:
     counts = recompute_counts(instance, assignment)
     solution = PlanSolution(
         status=doc["status"],
-        objective=doc["objective"],
+        objective=plan_objective(instance, counts),
         bound=doc["bound"],
         gap=doc["gap"],
         assignment=assignment,

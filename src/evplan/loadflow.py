@@ -33,9 +33,6 @@ class OperatingPoint:
     slack_kva: float
     mismatch_pu: float
 
-    def voltage_at(self, network: BusNetwork, bus_id: int) -> float:
-        return float(self.voltage_pu[network.bus_index(bus_id)])
-
 
 def _complex_voltage(vm: np.ndarray, va: np.ndarray) -> np.ndarray:
     return vm * np.exp(1j * va)

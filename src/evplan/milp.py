@@ -176,9 +176,6 @@ class MilpModel:
     def families(self) -> dict[str, np.ndarray]:
         return dict(self._families)
 
-    def has_family(self, name: str) -> bool:
-        return name in self._families
-
     def column_of(self, family: str, *pos) -> int:
         return int(self._families[family][pos])
 
@@ -189,8 +186,13 @@ class MilpModel:
         return self.A @ x
 
     def check_point(self, x: np.ndarray, tol: float = 1e-6) -> list[str]:
-        """Constraint/bound/integrality violations of a full assignment."""
+        """Non-finite entries and constraint/bound/integrality violations of
+        a full assignment."""
         issues = [
+            f"column {self.col_names[j]} = {x[j]:.6g} not finite"
+            for j in np.flatnonzero(~np.isfinite(x))
+        ]
+        issues += [
             f"column {self.col_names[j]} = {x[j]:.6g} outside bounds"
             for j in np.flatnonzero((x < self.lb - tol) | (x > self.ub + tol))
         ]

@@ -2,118 +2,98 @@
 
 Columns are emitted in builder order under generated 8-character names
 (C0000001, ...), rows as R0000001..., with binaries wrapped in
-INTORG/INTEND markers. A JSON sidecar maps the generated names back to
-(family, indices) so external solutions can be joined with the model.
+INTORG/INTEND markers. A compact JSON sidecar maps the generated names
+back to (family, indices) so external solutions can be joined with the
+model.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import SolutionImportError
-from .milp import SENSE_EQ, SENSE_GE, SENSE_LE, MilpModel
+from .milp import MilpModel
 
-_OBJ = "COST"
-
-
-def _row_name(i: int) -> str:
-    return f"R{i + 1:07d}"
+OBJECTIVE = "COST"
+MODEL_NAME = "EVPLAN"
+IMPORT_TOL = 1e-6
 
 
-def _col_name(j: int) -> str:
-    return f"C{j + 1:07d}"
+def _names(prefix: str, n: int) -> list[str]:
+    """Generated names ``<prefix>0000001`` ... for ``n`` rows or columns."""
+    return [f"{prefix}{k:07d}" for k in range(1, n + 1)]
 
 
-def _field(value: float) -> str:
-    return f"{value:.12G}"
+def _marker(k: int, opens: bool) -> str:
+    return f"    MARKER{k:04d}  'MARKER'                 '{'INTORG' if opens else 'INTEND'}'\n"
 
 
-def export_mps(model: MilpModel, path: str | Path, name: str = "EVPLAN") -> Path:
-    """Write the model plus a ``<path>.columns.json`` sidecar."""
+def export_mps(model: MilpModel, path: str | Path) -> Path:
+    """Write the model plus a ``<path>.columns.json`` sidecar; returns the
+    sidecar's path."""
     path = Path(path)
-    lines = [f"NAME          {name}", "ROWS", f" N  {_OBJ}"]
-    for i, sense in enumerate(model.row_sense):
-        tag = {SENSE_LE: "L", SENSE_GE: "G", SENSE_EQ: "E"}[sense]
-        lines.append(f" {tag}  {_row_name(i)}")
+    rows, cols = _names("R", model.n_rows), _names("C", model.n_cols)
+    # The objective is row 0 of the matrix, so every column's entries are
+    # one slice: objective first, then its rows in order (tocsc sorts them).
+    fields = [f"{name:<8}  " for name in [OBJECTIVE] + rows]
+    A = sp.vstack([sp.csr_matrix(model.obj), model.A], format="csc")
+    empty = [f"{fields[0]}{0.0:12.12G}"]
+    with open(path, "w") as fh:
+        fh.write(f"NAME          {MODEL_NAME}\nROWS\n N  {OBJECTIVE}\n")
+        fh.writelines(f" {sense}  {name}\n" for sense, name in zip(model.row_sense, rows))
+        fh.write("COLUMNS\n")
+        marker, in_int = 0, False
+        ptr = A.indptr.tolist()
+        for cn, integral, p0, p1 in zip(cols, model.is_int.tolist(), ptr, ptr[1:]):
+            if integral != in_int:
+                in_int = integral
+                fh.write(_marker(marker, in_int))
+                marker += 1
+            cells = [
+                f"{fields[i]}{v:12.12G}"
+                for i, v in zip(A.indices[p0:p1].tolist(), A.data[p0:p1].tolist())
+            ] or empty
+            fh.writelines(f"    {cn}  {'   '.join(cells[a:a + 2])}\n" for a in range(0, len(cells), 2))
+        if in_int:
+            fh.write(_marker(marker, False))
 
-    lines.append("COLUMNS")
-    csc = model.A.tocsc()
-    in_int_block = False
-    marker = 0
-    for j in range(model.n_cols):
-        integral = bool(model.is_int[j])
-        if integral and not in_int_block:
-            lines.append(f"    MARKER{marker:04d}  'MARKER'                 'INTORG'")
-            marker += 1
-            in_int_block = True
-        elif not integral and in_int_block:
-            lines.append(f"    MARKER{marker:04d}  'MARKER'                 'INTEND'")
-            marker += 1
-            in_int_block = False
-        entries = []
-        if model.obj[j] != 0.0:
-            entries.append((_OBJ, model.obj[j]))
-        start, end = csc.indptr[j], csc.indptr[j + 1]
-        order = np.argsort(csc.indices[start:end], kind="stable")
-        for k in order:
-            entries.append((_row_name(int(csc.indices[start + k])), float(csc.data[start + k])))
-        if not entries:
-            entries.append((_OBJ, 0.0))
-        cn = _col_name(j)
-        for a in range(0, len(entries), 2):
-            chunk = entries[a : a + 2]
-            line = f"    {cn:<8}  {chunk[0][0]:<8}  {_field(chunk[0][1]):>12}"
-            if len(chunk) == 2:
-                line += f"   {chunk[1][0]:<8}  {_field(chunk[1][1]):>12}"
-            lines.append(line)
-    if in_int_block:
-        lines.append(f"    MARKER{marker:04d}  'MARKER'                 'INTEND'")
-
-    lines.append("RHS")
-    for i, b in enumerate(model.rhs):
-        if b != 0.0:
-            lines.append(f"    RHS       {_row_name(i):<8}  {_field(float(b)):>12}")
-
-    lines.append("BOUNDS")
-    for j in range(model.n_cols):
-        lo, hi = model.lb[j], model.ub[j]
-        cn = _col_name(j)
-        if lo == hi:
-            lines.append(f" FX BND       {cn:<8}  {_field(float(lo)):>12}")
-            continue
-        if np.isneginf(lo) and np.isposinf(hi):
-            lines.append(f" FR BND       {cn:<8}")
-            continue
-        if np.isneginf(lo):
-            lines.append(f" MI BND       {cn:<8}")
-        elif lo != 0.0:
-            lines.append(f" LO BND       {cn:<8}  {_field(float(lo)):>12}")
-        if np.isposinf(hi):
-            if model.is_int[j] or lo != 0.0 or np.isneginf(lo):
-                lines.append(f" PL BND       {cn:<8}")
-        else:
-            lines.append(f" UP BND       {cn:<8}  {_field(float(hi)):>12}")
-
-    lines.append("ENDATA")
-    path.write_text("\n".join(lines) + "\n")
+        fh.write("RHS\n")
+        nz = np.flatnonzero(model.rhs != 0.0)
+        fh.writelines(
+            f"    RHS       {rows[i]}  {b:12.12G}\n" for i, b in zip(nz.tolist(), model.rhs[nz].tolist())
+        )
+        fh.write("BOUNDS\n")
+        for cn, lo, hi, integral in zip(cols, model.lb.tolist(), model.ub.tolist(), model.is_int.tolist()):
+            if lo == hi:
+                fh.write(f" FX BND       {cn}  {lo:12.12G}\n")
+            elif lo == -math.inf and hi == math.inf:
+                fh.write(f" FR BND       {cn}\n")
+            else:
+                if lo == -math.inf:
+                    fh.write(f" MI BND       {cn}\n")
+                elif lo != 0.0:
+                    fh.write(f" LO BND       {cn}  {lo:12.12G}\n")
+                if hi != math.inf:
+                    fh.write(f" UP BND       {cn}  {hi:12.12G}\n")
+                elif integral or lo != 0.0:
+                    fh.write(f" PL BND       {cn}\n")
+        fh.write("ENDATA\n")
 
     sidecar = {
-        "objective": _OBJ,
+        "objective": OBJECTIVE,
         "columns": {
-            _col_name(j): {
-                "name": model.col_names[j],
-                "family": (model.col_meta[j][0] if model.col_meta[j] else None),
-                "indices": (list(model.col_meta[j][1]) if model.col_meta[j] else None),
-            }
-            for j in range(model.n_cols)
+            cn: {"name": name, "family": meta[0] if meta else None, "indices": meta[1] if meta else None}
+            for cn, name, meta in zip(cols, model.col_names, model.col_meta)
         },
-        "rows": {_row_name(i): model.row_names[i] for i in range(model.n_rows)},
+        "rows": dict(zip(rows, model.row_names)),
     }
     sidecar_path = path.with_suffix(path.suffix + ".columns.json")
-    sidecar_path.write_text(json.dumps(sidecar, indent=1, sort_keys=True) + "\n")
+    sidecar_path.write_text(json.dumps(sidecar) + "\n")
     return sidecar_path
 
 
@@ -171,11 +151,10 @@ def parse_mps(path: str | Path) -> dict:
 def write_solution_file(model: MilpModel, x: np.ndarray, path: str | Path) -> None:
     """``column-name value`` lines in the exported naming scheme."""
     with open(path, "w") as fh:
-        for j in range(model.n_cols):
-            fh.write(f"{_col_name(j)} {x[j]:.12g}\n")
+        fh.writelines(f"{cn} {v:.12g}\n" for cn, v in zip(_names("C", model.n_cols), np.asarray(x).tolist()))
 
 
-def import_solution(model: MilpModel, path: str | Path, tol: float = 1e-6) -> np.ndarray:
+def import_solution(model: MilpModel, path: str | Path) -> np.ndarray:
     """Read ``name value`` lines, map onto the model, verify feasibility.
 
     Returns the assignment vector; the objective should be recomputed by
@@ -183,27 +162,34 @@ def import_solution(model: MilpModel, path: str | Path, tol: float = 1e-6) -> np
     """
     values: dict[str, float] = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        parts = raw.split()
+        if not parts or parts[0].startswith("#"):
             continue
-        parts = line.split()
+        where = f"{path}:{lineno}"
         if len(parts) != 2:
-            raise SolutionImportError(f"{path}:{lineno}: expected 'name value'")
-        values[parts[0]] = float(parts[1])
+            raise SolutionImportError(f"{where}: expected 'name value'")
+        name, text = parts
+        try:
+            value = float(text)
+        except ValueError:
+            raise SolutionImportError(f"{where}: value {text!r} is not a number") from None
+        if not math.isfinite(value):
+            raise SolutionImportError(f"{where}: value {text!r} is not finite")
+        if name in values:
+            raise SolutionImportError(f"{where}: column {name} given twice")
+        values[name] = value
 
-    known = {_col_name(j): j for j in range(model.n_cols)}
-    unknown = sorted(set(values) - set(known))
+    cols = _names("C", model.n_cols)
+    unknown = sorted(values.keys() - set(cols))
     if unknown:
         raise SolutionImportError(f"unknown column names: {', '.join(unknown[:5])}")
-    missing = sorted(set(known) - set(values))
+    missing = [cn for cn in cols if cn not in values]
     if missing:
         raise SolutionImportError(
             f"solution file misses {len(missing)} column(s), first: {missing[0]}"
         )
-    x = np.empty(model.n_cols)
-    for name, j in known.items():
-        x[j] = values[name]
-    issues = model.check_point(x, tol=tol)
+    x = np.array([values[cn] for cn in cols])
+    issues = model.check_point(x, tol=IMPORT_TOL)
     if issues:
         raise SolutionImportError(
             f"imported point violates the model ({len(issues)} issue(s))",

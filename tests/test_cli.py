@@ -1,3 +1,4 @@
+import csv
 import json
 from dataclasses import replace
 
@@ -118,6 +119,17 @@ def test_solve_and_import_round_trip(tiny_files, tmp_path):
     assert (doc2["lp_iterations"], doc2["runtime_s"]) == (0, 0.0)
 
 
+def test_import_of_non_numeric_value_exits_2(tiny_files, tmp_path, capsys):
+    src, _ = tiny_files
+    (tmp_path / "sol.txt").write_text("C0000001 abc\n")
+    rc = run_cli(
+        "solve", "--grid", src / "grid.json", "--demand", src / "demand.csv",
+        "--fleet", src / "fleet.json", "--import", tmp_path / "sol.txt", "--out", tmp_path,
+    )
+    assert rc == 2
+    assert "sol.txt:1: value 'abc' is not a number" in capsys.readouterr().err
+
+
 def build_args(src, out, demand=None):
     return (
         "build", "--grid", src / "grid.json", "--demand", demand or src / "demand.csv",
@@ -198,6 +210,10 @@ def test_report_outputs(tiny_files, tmp_path):
             )
             assert rc == 0
             outs.append(d / f"solution_{chargers}-{scen}.json")
+    # The report recomputes each cost from the binaries, not from the JSON.
+    doc = json.loads(outs[0].read_text())
+    cost = doc["objective"]
+    outs[0].write_text(json.dumps(dict(doc, objective=cost + 1000.0)))
     rep = tmp_path / "rep"
     rc = run_cli(
         "report", "--grid", src / "grid.json", "--demand", src / "demand.csv",
@@ -206,6 +222,8 @@ def test_report_outputs(tiny_files, tmp_path):
     assert rc == 0
     lines = (rep / "costs.csv").read_text().splitlines()
     assert len(lines) == 5  # header + four cases
+    costs = {row["case"]: row["cost"] for row in csv.DictReader(lines)}
+    assert float(costs["spc-A"]) == pytest.approx(cost)
     assert (rep / "charger_table.csv").exists()
     assert (rep / "injections.csv").read_text().startswith("case,node,t,value")
 

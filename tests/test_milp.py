@@ -27,6 +27,15 @@ def test_check_point_messages():
     assert m.check_point(np.array([1.0, 0.0, 1.0])) == []
 
 
+def test_check_point_reports_non_finite_entries():
+    # Every comparison with NaN is false, so no bound or row check sees it.
+    m = small_model()
+    assert m.check_point(np.array([np.nan, 0.0, np.nan])) == [
+        "column a = nan not finite",
+        "column c = nan not finite",
+    ]
+
+
 def test_row_block_matches_single_rows():
     # One block of two rows equals the same rows added one by one: zero
     # values are dropped and duplicates summed.

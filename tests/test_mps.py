@@ -6,7 +6,7 @@ import pytest
 from evplan.bnb import SolverConfig, solve_bnb
 from evplan.builder import build_plan_model
 from evplan.errors import SolutionImportError
-from evplan.milp import SENSE_EQ, SENSE_GE, SENSE_LE
+from evplan.milp import BINARY, CONTINUOUS, SENSE_EQ, SENSE_GE, SENSE_LE, MilpModel
 from evplan.mps_io import (
     export_mps,
     import_solution,
@@ -114,6 +114,20 @@ def test_unknown_column_rejected(built):
     assert "unknown" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "bad, line, message",
+    [("abc", 3, "value 'abc' is not a number"), ("nan", 3, "value 'nan' is not finite"),
+     ("0\nC0000001 1", 4, "column C0000001 given twice")],
+)
+def test_malformed_value_rejected_with_line(built, bad, line, message):
+    _, model, path, _ = built
+    sol_path = path.parent / "malformed.txt"
+    sol_path.write_text(f"# header\nC0000002 0\nC0000001 {bad}\n")
+    with pytest.raises(SolutionImportError) as err:
+        import_solution(model, sol_path)
+    assert str(err.value) == f"{sol_path}:{line}: {message}"
+
+
 def test_infeasible_point_rejected_with_violations(built):
     inst, model, path, _ = built
     x = np.zeros(model.n_cols)
@@ -124,3 +138,74 @@ def test_infeasible_point_rejected_with_violations(built):
         with pytest.raises(SolutionImportError) as err:
             import_solution(model, sol_path)
         assert err.value.violations
+
+
+def edge_model() -> MilpModel:
+    """Every bound type, empty and objective-only columns, and two
+    binary blocks, the second one running to the end of COLUMNS."""
+    m = MilpModel()
+    b0 = m.add_column("b0", BINARY, 0, 1, obj=3.0)
+    b1 = m.add_column("b1", BINARY, 0, 1)
+    m.add_column("x2", CONTINUOUS, 2.5, 2.5)
+    m.add_column("x3", CONTINUOUS, -np.inf, np.inf, obj=-1.5)
+    x4 = m.add_column("x4", CONTINUOUS, -np.inf, 7.0)
+    x5 = m.add_column("x5", CONTINUOUS, 2.0, 5.0, obj=1e15)
+    x6 = m.add_column("x6", CONTINUOUS, 1.0, np.inf)
+    (y0,) = m.add_family("y", (1,), BINARY)
+    m.set_bounds(b1, 0.0, np.inf)
+    m.add_row("cap", [(b0, 1.0), (b1, 1.0), (x4, -2.0 / 3.0)], SENSE_LE, 4.0)
+    m.add_row("need", [(x4, 123456.789012), (x5, 1.5e-7), (y0, 2.0)], SENSE_GE, -1.25)
+    m.add_row("tie", [(b0, -1.0), (x5, 1.0), (x6, 1.0)], SENSE_EQ, 0.0)
+    return m.freeze()
+
+
+EDGE_MPS = """\
+NAME          EVPLAN
+ROWS
+ N  COST
+ L  R0000001
+ G  R0000002
+ E  R0000003
+COLUMNS
+    MARKER0000  'MARKER'                 'INTORG'
+    C0000001  COST                 3   R0000001             1
+    C0000001  R0000003            -1
+    C0000002  R0000001             1
+    MARKER0001  'MARKER'                 'INTEND'
+    C0000003  COST                 0
+    C0000004  COST              -1.5
+    C0000005  R0000001  -0.666666666667   R0000002  123456.789012
+    C0000006  COST             1E+15   R0000002       1.5E-07
+    C0000006  R0000003             1
+    C0000007  R0000003             1
+    MARKER0002  'MARKER'                 'INTORG'
+    C0000008  R0000002             2
+    MARKER0003  'MARKER'                 'INTEND'
+RHS
+    RHS       R0000001             4
+    RHS       R0000002         -1.25
+BOUNDS
+ UP BND       C0000001             1
+ PL BND       C0000002
+ FX BND       C0000003           2.5
+ FR BND       C0000004
+ MI BND       C0000005
+ UP BND       C0000005             7
+ LO BND       C0000006             2
+ UP BND       C0000006             5
+ LO BND       C0000007             1
+ PL BND       C0000007
+ UP BND       C0000008             1
+ENDATA
+"""
+
+
+def test_export_text_of_edge_cases(tmp_path):
+    sidecar = export_mps(edge_model(), tmp_path / "edge.mps")
+    assert (tmp_path / "edge.mps").read_text() == EDGE_MPS
+    doc = json.loads(sidecar.read_text())
+    assert doc["objective"] == "COST"
+    assert doc["rows"] == {"R0000001": "cap", "R0000002": "need", "R0000003": "tie"}
+    assert doc["columns"]["C0000001"] == {"name": "b0", "family": None, "indices": None}
+    assert doc["columns"]["C0000008"] == {"name": "y[0]", "family": "y", "indices": [0]}
+    assert len(doc["columns"]) == 8

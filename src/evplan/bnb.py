@@ -67,38 +67,105 @@ class MilpSolveResult:
     nodes: int = 0
     lp_iterations: int = 0
     runtime_s: float = 0.0
+    size: tuple[int, int, int] = (0, 0, 0)  # rows, columns, nonzeros of the model
+    presolved_size: tuple[int, int, int] | None = None  # None: presolve proved infeasibility
 
 
 class _Node:
+    """A search node and its bound changes relative to ``parent``.
+
+    A node tightens at most one column by its own branch (``branch_col``,
+    applied first), then pins ``fix_cols[fix_from:]`` at ``fix_vals[fix_from:]``. A
+    dive step stores its pinned columns once, deepest first; each sibling
+    along the step shares those arrays from its own position on. Changes
+    apply deepest first, as a walk up a chain of single-column branches
+    would apply them, and the walk takes one step per dive step, not one
+    per pinned column.
+    """
+
     __slots__ = (
         "id", "key", "parent", "branch_col", "branch_lo", "branch_hi",
-        "basis", "frac_col", "frac_val", "evaluated",
+        "fix_cols", "fix_vals", "fix_from", "basis", "frac_col", "frac_val", "evaluated",
     )
 
-    def __init__(self, id, key, parent, branch_col=-1, branch_lo=0.0, branch_hi=1.0):
+    def __init__(self, id, key, parent, branch_col=-1, branch_lo=0.0, branch_hi=1.0,
+                 fix_cols=None, fix_vals=None, fix_from=0):
         self.id = id
         self.key = key
         self.parent = parent
         self.branch_col = branch_col
         self.branch_lo = branch_lo
         self.branch_hi = branch_hi
+        self.fix_cols = fix_cols
+        self.fix_vals = fix_vals
+        self.fix_from = fix_from
         self.basis = None
         self.frac_col = -1
         self.frac_val = 0.0
         self.evaluated = False
 
     def bounds(self, lb0, ub0):
-        lb, ub = lb0.copy(), ub0.copy()
+        """Bounds after every change from this node up to the root."""
+        cols, lo, hi = [], [], []
         node = self
-        while node is not None and node.branch_col >= 0:
-            j = node.branch_col
-            lb[j] = max(lb[j], node.branch_lo)
-            ub[j] = min(ub[j], node.branch_hi)
+        while node is not None:
+            if node.branch_col >= 0:
+                cols.append((node.branch_col,))
+                lo.append((node.branch_lo,))
+                hi.append((node.branch_hi,))
+            if node.fix_cols is not None:
+                vals = node.fix_vals[node.fix_from:]
+                cols.append(node.fix_cols[node.fix_from:])
+                lo.append(vals)
+                hi.append(vals)
             node = node.parent
+        lb, ub = lb0.copy(), ub0.copy()
+        if cols:
+            cols = np.concatenate(cols)
+            _tighten_in_order(lb, cols, np.concatenate(lo), upper=False)
+            _tighten_in_order(ub, cols, np.concatenate(hi), upper=True)
         return lb, ub
 
     def __lt__(self, other):
         return self.id < other.id
+
+
+def _tighten_in_order(bound, cols, vals, upper):
+    """For each ``cols``/``vals`` pair in order, set ``bound[c]`` to
+    ``min(bound[c], v)`` (``upper``) or ``max(bound[c], v)``, vectorized.
+
+    ``min`` and ``max`` keep the current value on a tie, so of equal values
+    (0.0 and -0.0) the earliest one stays; the stable sort keeps it first
+    among the tightest values of each column.
+    """
+    order = np.lexsort((vals if upper else -vals, cols))
+    sorted_cols = cols[order]
+    head = np.empty(sorted_cols.size, dtype=bool)
+    head[0] = True
+    np.not_equal(sorted_cols[1:], sorted_cols[:-1], out=head[1:])
+    c, v = sorted_cols[head], vals[order[head]]
+    cur = bound[c]
+    bound[c] = np.where(v < cur if upper else v > cur, v, cur)
+
+
+def _dive_nodes(parent: _Node, first_id: int, cols: np.ndarray, vals: np.ndarray,
+                keys: np.ndarray) -> tuple[_Node, list[_Node]]:
+    """Nodes of one dive step below ``parent`` that pins ``cols`` at ``vals``.
+
+    Ids and keys are those of a chain of single-column branches: sibling k
+    (``cols[k]`` at ``1 - vals[k]``, key ``keys[k]``), then link k, each
+    link the parent of the next pair. Of the links only the last, the end
+    of the chain, is created; the siblings hang from ``parent`` and take
+    the links' fixes from the shared arrays.
+    """
+    rev_cols, rev_vals = cols[::-1], vals[::-1]
+    k_all = cols.size
+    siblings = [
+        _Node(first_id + 2 * k, key, parent, col, 1.0 - val, 1.0 - val, rev_cols, rev_vals, k_all - k)
+        for k, (col, val, key) in enumerate(zip(cols.tolist(), vals.tolist(), keys.tolist()))
+    ]
+    chain = _Node(first_id + 2 * k_all - 1, parent.key, parent, fix_cols=rev_cols, fix_vals=rev_vals)
+    return chain, siblings
 
 
 def _relative_gap(incumbent: float, bound: float) -> float:
@@ -109,12 +176,15 @@ class _Search:
     def __init__(self, model: MilpModel, config: SolverConfig):
         self.config = config
         self.started = time.monotonic()
+        self.size = (model.n_rows, model.n_cols, model.A.nnz)
+        self.presolved_size = None
         self.pre = presolve(model)
         self.infeasible = self.pre.status == "infeasible"
         if self.infeasible:
             return
         red = self.pre.reduced
         self.red = red
+        self.presolved_size = (red.n_rows, red.n_cols, red.A.nnz)
         self.engine = BoundedSimplex(red.A, red.rhs, red.senses, red.obj)
         self.int_cols = np.flatnonzero(red.is_int)
         self.incumbent_x = None
@@ -129,6 +199,7 @@ class _Search:
         self.eval_counts = {"fractional": 0, "infeasible": 0, "integral": 0}
         self._last_d: np.ndarray | None = None
         self._last_d_node = -1
+        self._last_bounds: tuple[np.ndarray, np.ndarray] | None = None
 
     # -- helpers -----------------------------------------------------------
 
@@ -172,6 +243,7 @@ class _Search:
         node.key = max(node.key, res.objective + self.red.obj_offset)
         self._last_d = res.reduced_costs  # valid only while node is current
         self._last_d_node = node.id
+        self._last_bounds = lb, ub
         self._store_basis(node, res.basis)
         col = self._fractional_col(res.x)
         if col < 0:
@@ -226,13 +298,14 @@ class _Search:
 
     # -- expansion ----------------------------------------------------------
 
-    def _flip_lift(self, parent: _Node, col: int, to_one: bool) -> float:
-        """Valid bound increase for forcing ``col`` away from its LP value,
-        from the parent's reduced costs (zero when the LP is stale)."""
+    def _flip_lifts(self, parent: _Node, cols: np.ndarray, to_one: np.ndarray) -> np.ndarray:
+        """Valid bound increases for forcing ``cols`` away from their LP
+        values, from the parent's reduced costs (zero when the LP is stale)."""
         if self._last_d is None or self._last_d_node != parent.id:
-            return 0.0
-        d = self._last_d[col]
-        return max(0.0, d) if to_one else max(0.0, -d)
+            return np.zeros(cols.size)
+        d = self._last_d[cols]
+        lift = np.where(to_one, d, -d)
+        return np.where(lift > 0.0, lift, 0.0)
 
     def _branch_pair(self, parent: _Node, col: int, val: float):
         """Two-way children on one column; the rounded side first."""
@@ -256,7 +329,9 @@ class _Search:
         lifted key, so the chain is an ordinary sequence of two-way
         branches and the search stays exhaustive.
         """
-        lb, ub = parent.bounds(self.red.lb, self.red.ub)
+        if self._last_d_node != parent.id:
+            raise RuntimeError("dive step from a node other than the last LP solved")
+        lb, ub = self._last_bounds
         vals = x[self.int_cols]
         dist = np.abs(vals - np.round(vals))
         unfixed = lb[self.int_cols] < ub[self.int_cols]
@@ -267,18 +342,10 @@ class _Search:
             frac = dist > INT_TOL
             order = int(np.argmin(np.where(frac, dist, np.inf)))
             fix_cols = self.int_cols[order : order + 1]
-        chain = parent
-        siblings = []
-        for col in fix_cols:
-            val = float(np.round(x[col]))
-            flip = 1.0 - val
-            key = parent.key + self._flip_lift(parent, int(col), to_one=flip > 0.5)
-            sib = _Node(self.next_id, key, chain, int(col), flip, flip)
-            self.next_id += 1
-            link = _Node(self.next_id, parent.key, chain, int(col), val, val)
-            self.next_id += 1
-            siblings.append(sib)
-            chain = link
+        fix_vals = np.round(x[fix_cols])
+        keys = parent.key + self._flip_lifts(parent, fix_cols, 1.0 - fix_vals > 0.5)
+        chain, siblings = _dive_nodes(parent, self.next_id, fix_cols, fix_vals, keys)
+        self.next_id += 2 * fix_cols.size
         return chain, siblings
 
     def _plunge(self, node: _Node):
@@ -347,7 +414,7 @@ class _Search:
 
     def run(self) -> MilpSolveResult:
         if self.infeasible:
-            return MilpSolveResult(status="infeasible", runtime_s=self.elapsed())
+            return self._result("infeasible")
 
         root = _Node(self.next_id, -np.inf, None)
         self.next_id += 1
@@ -392,15 +459,10 @@ class _Search:
         return self._finish(limited)
 
     def _finish(self, limited: bool) -> MilpSolveResult:
-        runtime = self.elapsed()
         if self.incumbent_x is None:
             status = "limit" if limited else "infeasible"
-            return MilpSolveResult(
-                status=status,
-                bound=self.best_bound,
-                nodes=self.nodes_done,
-                lp_iterations=self.lp_iters,
-                runtime_s=runtime,
+            return self._result(
+                status, bound=self.best_bound, nodes=self.nodes_done, lp_iterations=self.lp_iters
             )
         gap = max(_relative_gap(self.incumbent_obj, self.best_bound), 0.0)
         if self.incumbent_obj - self.best_bound <= self.config.abs_gap:
@@ -409,15 +471,23 @@ class _Search:
             status = "gap-optimal"
         else:
             status = "limit"
-        return MilpSolveResult(
-            status=status,
+        return self._result(
+            status,
             x=self.pre.postsolve(self.incumbent_x),
             objective=self.incumbent_obj,
             bound=self.best_bound,
             gap=gap,
             nodes=self.nodes_done,
             lp_iterations=self.lp_iters,
-            runtime_s=runtime,
+        )
+
+    def _result(self, status: str, **fields) -> MilpSolveResult:
+        return MilpSolveResult(
+            status=status,
+            runtime_s=self.elapsed(),
+            size=self.size,
+            presolved_size=self.presolved_size,
+            **fields,
         )
 
 

@@ -228,6 +228,8 @@ def _solution_payload(instance, solution: PlanSolution, label: str) -> dict:
         "nodes": solution.nodes,
         "lp_iterations": solution.lp_iterations,
         "runtime_s": solution.runtime_s,
+        "model_size": _size_dict(solution.size),
+        "presolved_size": _size_dict(solution.presolved_size),
         "counts": {k: [int(x) for x in v] for k, v in (solution.counts or {}).items()},
         "node_ids": list(instance.node_ids),
         "soc_start": (
@@ -243,6 +245,13 @@ def _solution_payload(instance, solution: PlanSolution, label: str) -> dict:
         ),
         "verification": report,
     }
+
+
+def _size_dict(size):
+    if size is None:
+        return None
+    rows, cols, nnz = size
+    return {"rows": rows, "columns": cols, "nonzeros": nnz}
 
 
 def cmd_solve(args) -> int:
@@ -266,6 +275,7 @@ def cmd_solve(args) -> int:
             column_values=x,
             counts=counts,
             soc=soc_series(instance, assignment),
+            size=(model.n_rows, model.n_cols, model.A.nnz),
         )
     else:
         if args.verbose:
@@ -296,6 +306,9 @@ def cmd_solve(args) -> int:
 
 def _case_from_payload(path: Path, base_args, cfg) -> StudyCase:
     doc = json.loads(Path(path).read_text())
+    if doc["columns"] is None:
+        # solve writes such a file when a limit stops it before any plan
+        raise EvPlanError(f"{path}: no plan to report (status {doc['status']})")
     label = doc["label"]
     chargers, scenario = label.split("-")
     args2 = argparse.Namespace(**vars(base_args))

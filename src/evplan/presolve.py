@@ -20,6 +20,7 @@ Postsolve replays the recorded transforms to recover a full assignment.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import ceil, copysign, floor, inf, isfinite
 
 import numpy as np
 import scipy.sparse as sp
@@ -28,6 +29,13 @@ from .milp import SENSE_EQ, SENSE_GE, SENSE_LE, MilpModel
 
 FEAS_TOL = 1e-9
 MAX_PASSES = 30
+
+
+def _integral(rounding, v: float) -> float:
+    """``rounding`` (``round``, ``floor`` or ``ceil``) of ``v`` as
+    the float numpy's scalar rounding gives: the sign of ``v`` is kept on a
+    zero result (-0.3 rounds to -0.0) and non-finite values pass through."""
+    return copysign(rounding(v), v) if isfinite(v) else v
 
 
 @dataclass
@@ -80,7 +88,7 @@ class PresolveResult:
             else:
                 val = min(hi, residual / a)
             if integral:
-                val = float(np.round(val))
+                val = _integral(round, val)
             x[col] = min(max(val, lo), hi)
         return x
 
@@ -122,18 +130,23 @@ class _Working:
 
     @classmethod
     def from_model(cls, model: MilpModel):
-        A = model.A.tocoo()
+        A = model.A.tocsr()
+        ptr = A.indptr.tolist()
         rows = [dict() for _ in range(model.n_rows)]
-        for r, c, v in zip(A.row, A.col, A.data):
-            rows[r][int(c)] = rows[r].get(int(c), 0.0) + float(v)
+        # Row by row, so that only one row's entries exist as Python objects
+        # besides the dicts being built.
+        for r, row in enumerate(rows):
+            lo, hi = ptr[r], ptr[r + 1]
+            for c, v in zip(A.indices[lo:hi].tolist(), A.data[lo:hi].tolist()):
+                row[c] = row.get(c, 0.0) + v
         return cls(
             rows=rows,
             senses=list(model.row_sense),
-            rhs=[float(x) for x in model.rhs],
-            lb=list(map(float, model.lb)),
-            ub=list(map(float, model.ub)),
-            obj=list(map(float, model.obj)),
-            is_int=list(bool(b) for b in model.is_int),
+            rhs=np.asarray(model.rhs, dtype=float).tolist(),
+            lb=np.asarray(model.lb, dtype=float).tolist(),
+            ub=np.asarray(model.ub, dtype=float).tolist(),
+            obj=np.asarray(model.obj, dtype=float).tolist(),
+            is_int=np.asarray(model.is_int, dtype=bool).tolist(),
             members=[[j] for j in range(model.n_cols)],
         )
 
@@ -145,7 +158,7 @@ class _Working:
         lo, hi = self.lb[col], self.ub[col]
         val = min(max(val, lo), hi)
         if self.is_int[col]:
-            val = float(np.round(val))
+            val = _integral(round, val)
         self.fixed[col] = val
         self.obj_offset += self.obj[col] * val
         self.lb[col] = self.ub[col] = val
@@ -162,14 +175,15 @@ class _Working:
 
     def _min_max_activity(self, row):
         lo = hi = 0.0
+        lb, ub = self.lb, self.ub
         for c, a in row.items():
-            l, u = self.lb[c], self.ub[c]
+            l, u = lb[c], ub[c]
             if a > 0:
-                lo += a * l if np.isfinite(l) else -np.inf
-                hi += a * u if np.isfinite(u) else np.inf
+                lo += a * l if isfinite(l) else -inf
+                hi += a * u if isfinite(u) else inf
             else:
-                lo += a * u if np.isfinite(u) else -np.inf
-                hi += a * l if np.isfinite(l) else np.inf
+                lo += a * u if isfinite(u) else -inf
+                hi += a * l if isfinite(l) else inf
         return lo, hi
 
     def _tighten(self, col, lo=None, hi=None) -> bool:
@@ -181,8 +195,8 @@ class _Working:
             self.ub[col] = hi
             changed = True
         if self.is_int[col] and changed:
-            self.lb[col] = np.ceil(self.lb[col] - 1e-7)
-            self.ub[col] = np.floor(self.ub[col] + 1e-7)
+            self.lb[col] = _integral(ceil, self.lb[col] - 1e-7)
+            self.ub[col] = _integral(floor, self.ub[col] + 1e-7)
         if self.lb[col] > self.ub[col] + FEAS_TOL:
             self.infeasible = True
         return changed
@@ -210,12 +224,13 @@ class _Working:
 
     def _substitute_fixed(self) -> bool:
         changed = False
+        lb, ub = self.lb, self.ub
         for r, row in enumerate(self.rows):
             if row is None:
                 continue
-            hit = [c for c in row if self.lb[c] == self.ub[c]]
+            hit = [c for c in row if lb[c] == ub[c]]
             for c in hit:
-                self.rhs[r] -= row.pop(c) * self.lb[c]
+                self.rhs[r] -= row.pop(c) * lb[c]
                 changed = True
         # Columns not yet recorded as fixed (e.g. bounds collapsed by
         # tightening) get a fix record now.
@@ -268,7 +283,7 @@ class _Working:
                 if hi <= b + FEAS_TOL:
                     self.rows[r] = None  # redundant
                     changed = True
-                elif abs(lo - b) <= FEAS_TOL and np.isfinite(lo):
+                elif abs(lo - b) <= FEAS_TOL and isfinite(lo):
                     changed |= self._force_row_to_min(row)
                     self.rows[r] = None
             elif sense == SENSE_GE:
@@ -278,17 +293,17 @@ class _Working:
                 if lo >= b - FEAS_TOL:
                     self.rows[r] = None
                     changed = True
-                elif abs(hi - b) <= FEAS_TOL and np.isfinite(hi):
+                elif abs(hi - b) <= FEAS_TOL and isfinite(hi):
                     changed |= self._force_row_to_max(row)
                     self.rows[r] = None
             else:
                 if lo > b + FEAS_TOL or hi < b - FEAS_TOL:
                     self.infeasible = True
                     return True
-                if abs(lo - b) <= FEAS_TOL and np.isfinite(lo):
+                if abs(lo - b) <= FEAS_TOL and isfinite(lo):
                     changed |= self._force_row_to_min(row)
                     self.rows[r] = None
-                elif abs(hi - b) <= FEAS_TOL and np.isfinite(hi):
+                elif abs(hi - b) <= FEAS_TOL and isfinite(hi):
                     changed |= self._force_row_to_max(row)
                     self.rows[r] = None
         return changed
@@ -307,7 +322,7 @@ class _Working:
                 continue
             sense, b = self.senses[r], self.rhs[r]
             lo, hi = self._min_max_activity(row)
-            if sense in (SENSE_LE, SENSE_EQ) and np.isfinite(lo):
+            if sense in (SENSE_LE, SENSE_EQ) and isfinite(lo):
                 for c, a in row.items():
                     cmin = a * self.lb[c] if a > 0 else a * self.ub[c]
                     others = lo - cmin
@@ -317,7 +332,7 @@ class _Working:
                         changed |= self._tighten(c, lo=(b - others) / a)
                     if self.infeasible:
                         return True
-            if sense in (SENSE_GE, SENSE_EQ) and np.isfinite(hi):
+            if sense in (SENSE_GE, SENSE_EQ) and isfinite(hi):
                 for c, a in row.items():
                     cmax = a * self.ub[c] if a > 0 else a * self.lb[c]
                     others = hi - cmax
@@ -448,17 +463,17 @@ class _Working:
             reach_hi = a * hi_c if a > 0 else a * lo_c  # max of a*x_c
             reach_lo = a * lo_c if a > 0 else a * hi_c
             if sense == SENSE_GE:
-                ok = np.isposinf(reach_hi) or (
-                    np.isfinite(lo_o) and reach_hi >= b - lo_o - FEAS_TOL
+                ok = reach_hi == inf or (
+                    isfinite(lo_o) and reach_hi >= b - lo_o - FEAS_TOL
                 )
             elif sense == SENSE_LE:
-                ok = np.isneginf(reach_lo) or (
-                    np.isfinite(hi_o) and reach_lo <= b - hi_o + FEAS_TOL
+                ok = reach_lo == -inf or (
+                    isfinite(hi_o) and reach_lo <= b - hi_o + FEAS_TOL
                 )
             else:
                 ok = (
-                    np.isfinite(lo_o)
-                    and np.isfinite(hi_o)
+                    isfinite(lo_o)
+                    and isfinite(hi_o)
                     and reach_lo <= b - hi_o + FEAS_TOL
                     and reach_hi >= b - lo_o - FEAS_TOL
                 )
@@ -489,11 +504,11 @@ class _Working:
         for c in range(len(self.lb)):
             if c in self.fixed or c in usage or not self.members[c]:
                 continue
-            if self.obj[c] > 0 or (self.obj[c] == 0 and np.isfinite(self.lb[c])):
+            if self.obj[c] > 0 or (self.obj[c] == 0 and isfinite(self.lb[c])):
                 target = self.lb[c]
             else:
                 target = self.ub[c]
-            if not np.isfinite(target):
+            if not isfinite(target):
                 target = 0.0
             changed |= self._fix(c, target)
         return changed

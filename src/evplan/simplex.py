@@ -104,8 +104,15 @@ class BoundedSimplex:
     # -- basis / factorization --------------------------------------------
 
     def _refactor(self):
-        B = self.Aaug_csc[:, self.basic]
-        self.lu = spla.splu(B.tocsc())
+        # Basis columns gathered straight from the CSC arrays, in basis order.
+        A = self.Aaug_csc
+        starts = A.indptr[self.basic]
+        counts = A.indptr[self.basic + 1] - starts
+        indptr = np.zeros(self.m + 1, dtype=A.indptr.dtype)
+        np.cumsum(counts, out=indptr[1:])
+        take = np.repeat(starts - indptr[:-1], counts) + np.arange(indptr[-1])
+        B = sp.csc_matrix((A.data[take], A.indices[take], indptr), shape=(self.m, self.m))
+        self.lu = spla.splu(B)
         self.etas = []
         self._recompute_basics(use_etas=False)
 
@@ -130,7 +137,7 @@ class BoundedSimplex:
     def _btran(self, v):
         v = np.array(v, dtype=float)
         for r, w_idx, w_val, piv in reversed(self.etas):
-            v[r] = (v[r] - w_val @ v[w_idx]) / piv
+            v[r] = (v[r] - w_val.dot(v[w_idx])) / piv
         return self.lu.solve(v, trans="T")
 
     def _column(self, q):
@@ -163,6 +170,8 @@ class BoundedSimplex:
         self.ub = np.concatenate([np.asarray(ub, dtype=float), self.slack_ub])
         if np.any(self.lb > self.ub + 1e-12):
             return LpResult(status="infeasible")
+        self.lb_finite, self.ub_finite = np.isfinite(self.lb), np.isfinite(self.ub)
+        self.movable = ~(self.lb == self.ub)
         if max_iter is None:
             max_iter = 20000 + 10 * total
 
@@ -175,13 +184,14 @@ class BoundedSimplex:
                 self.status = status
                 self.x = np.zeros(total)
                 nonbasic = status != BASIC
-                at_up = nonbasic & (status == AT_UPPER) & np.isfinite(self.ub)
+                lb_fin, ub_fin = self.lb_finite, self.ub_finite
+                at_up = nonbasic & (status == AT_UPPER) & ub_fin
                 at_lo = nonbasic & ~at_up
                 self.x[at_up] = self.ub[at_up]
-                lo_vals = np.where(np.isfinite(self.lb), self.lb, np.where(np.isfinite(self.ub), self.ub, 0.0))
+                lo_vals = np.where(lb_fin, self.lb, np.where(ub_fin, self.ub, 0.0))
                 self.x[at_lo] = lo_vals[at_lo]
-                self.status[at_lo & ~np.isfinite(self.lb) & np.isfinite(self.ub)] = AT_UPPER
-                self.status[at_lo & ~np.isfinite(self.lb) & ~np.isfinite(self.ub)] = AT_FREE
+                self.status[at_lo & ~lb_fin & ub_fin] = AT_UPPER
+                self.status[at_lo & ~lb_fin & ~ub_fin] = AT_FREE
                 try:
                     if engine_ready is not None and np.array_equal(
                         status, engine_ready
@@ -204,13 +214,16 @@ class BoundedSimplex:
         iters = 0
 
         # Phase 1: drive basic bound violations to zero.
-        while self._infeasibility() > FEAS_TOL * (1 + m):
+        while True:
+            xb, lo, hi = self.x[self.basic], self.lb[self.basic], self.ub[self.basic]
+            infeasibility = float(np.sum(np.maximum(lo - xb, 0)) + np.sum(np.maximum(xb - hi, 0)))
+            if not infeasibility > FEAS_TOL * (1 + m):
+                break
             if iters >= max_iter:
                 return LpResult(status="iteration_limit", iterations=iters)
-            if not self._phase1_step():
-                if self._infeasibility() > FEAS_TOL * (1 + m):
-                    return LpResult(status="infeasible", iterations=iters)
-                break
+            if not self._phase1_step(xb, lo, hi):
+                # No step was taken, so the violation above still stands.
+                return LpResult(status="infeasible", iterations=iters)
             iters += 1
 
         # Phase 2: optimize the true objective.
@@ -237,14 +250,9 @@ class BoundedSimplex:
 
     # -- phases --------------------------------------------------------------
 
-    def _infeasibility(self) -> float:
-        xb = self.x[self.basic]
-        lo, hi = self.lb[self.basic], self.ub[self.basic]
-        return float(np.sum(np.maximum(lo - xb, 0)) + np.sum(np.maximum(xb - hi, 0)))
-
-    def _phase1_step(self) -> bool:
-        xb = self.x[self.basic]
-        lo, hi = self.lb[self.basic], self.ub[self.basic]
+    def _phase1_step(self, xb, lo, hi) -> bool:
+        """One step on the basic values ``xb`` and their bounds; False when
+        no step is taken."""
         cb = np.where(xb < lo - FEAS_TOL, -1.0, np.where(xb > hi + FEAS_TOL, 1.0, 0.0))
         if not cb.any():
             return False
@@ -253,7 +261,7 @@ class BoundedSimplex:
         q, sigma = self._entering(d, DUAL_TOL)
         if q is None:
             return False
-        return self._pivot(q, sigma, phase1=True)
+        return self._pivot(q, sigma, xb, lo, hi, phase1=True)
 
     def _phase2_step(self) -> str:
         y = self._btran(self.c[self.basic])
@@ -262,16 +270,17 @@ class BoundedSimplex:
         if q is None:
             self._opt_d = d
             return "optimal"
-        if not self._pivot(q, sigma, phase1=False):
+        basic = self.basic
+        if not self._pivot(q, sigma, self.x[basic], self.lb[basic], self.ub[basic], phase1=False):
             return "unbounded"
         return "step"
 
     def _entering(self, d, tol):
         stat = self.status
-        fixed = self.lb == self.ub
+        movable = self.movable
         mask = (
-            ((stat == AT_LOWER) & ~fixed & (d < -tol))
-            | ((stat == AT_UPPER) & ~fixed & (d > tol))
+            ((stat == AT_LOWER) & movable & (d < -tol))
+            | ((stat == AT_UPPER) & movable & (d > tol))
             | ((stat == AT_FREE) & (np.abs(d) > tol))
         )
         idx = np.flatnonzero(mask)
@@ -290,42 +299,46 @@ class BoundedSimplex:
             sigma = 1 if d[q] < 0 else -1
         return q, sigma
 
-    def _pivot(self, q, sigma, phase1) -> bool:
+    def _pivot(self, q, sigma, xb, lo_b, ub_b, phase1) -> bool:
         w = self._ftran(self._column(q))
-        xb = self.x[self.basic]
-        lo_b, ub_b = self.lb[self.basic], self.ub[self.basic]
         rate = -sigma * w  # dx_basic / d(step)
 
-        ratios = np.full(self.m, np.inf)
-        to = np.zeros(self.m, dtype=np.int8)
-        inc = rate > PIVOT_TOL
-        dec = rate < -PIVOT_TOL
+        # Only rows whose basic value moves with the step can block it; the
+        # ratio test runs on those positions of the basis.
+        rows = np.flatnonzero((rate > PIVOT_TOL) | (rate < -PIVOT_TOL))
+        r_rate, r_xb, r_lo, r_ub = rate[rows], xb[rows], lo_b[rows], ub_b[rows]
+        r_basic = self.basic[rows]
+        lo_fin, ub_fin = self.lb_finite[r_basic], self.ub_finite[r_basic]
+        ratios = np.full(rows.size, np.inf)
+        to = np.zeros(rows.size, dtype=np.int8)
+        inc = r_rate > PIVOT_TOL
+        dec = r_rate < -PIVOT_TOL
         if phase1:
-            below = xb < lo_b - FEAS_TOL
-            above = xb > ub_b + FEAS_TOL
+            below = r_xb < r_lo - FEAS_TOL
+            above = r_xb > r_ub + FEAS_TOL
             feas = ~below & ~above
             sel = below & inc
-            ratios[sel] = (lo_b[sel] - xb[sel]) / rate[sel]
+            ratios[sel] = (r_lo[sel] - r_xb[sel]) / r_rate[sel]
             to[sel] = AT_LOWER
             sel = above & dec
-            ratios[sel] = (ub_b[sel] - xb[sel]) / rate[sel]
+            ratios[sel] = (r_ub[sel] - r_xb[sel]) / r_rate[sel]
             to[sel] = AT_UPPER
-            sel = feas & dec & np.isfinite(lo_b)
-            ratios[sel] = (xb[sel] - lo_b[sel]) / -rate[sel]
+            sel = feas & dec & lo_fin
+            ratios[sel] = (r_xb[sel] - r_lo[sel]) / -r_rate[sel]
             to[sel] = AT_LOWER
-            sel = feas & inc & np.isfinite(ub_b)
-            ratios[sel] = (ub_b[sel] - xb[sel]) / rate[sel]
+            sel = feas & inc & ub_fin
+            ratios[sel] = (r_ub[sel] - r_xb[sel]) / r_rate[sel]
             to[sel] = AT_UPPER
         else:
-            sel = dec & np.isfinite(lo_b)
-            ratios[sel] = (xb[sel] - lo_b[sel]) / -rate[sel]
+            sel = dec & lo_fin
+            ratios[sel] = (r_xb[sel] - r_lo[sel]) / -r_rate[sel]
             to[sel] = AT_LOWER
-            sel = inc & np.isfinite(ub_b)
-            ratios[sel] = (ub_b[sel] - xb[sel]) / rate[sel]
+            sel = inc & ub_fin
+            ratios[sel] = (r_ub[sel] - r_xb[sel]) / r_rate[sel]
             to[sel] = AT_UPPER
         ratios = np.maximum(ratios, 0.0)
 
-        limit = float(ratios.min()) if self.m else np.inf
+        limit = float(ratios.min()) if rows.size else np.inf
         self_range = self.ub[q] - self.lb[q]
         if np.isfinite(self_range) and self_range < limit - RATIO_TIE:
             step = self_range
@@ -338,18 +351,19 @@ class BoundedSimplex:
             return False  # unbounded direction
 
         cands = np.flatnonzero(ratios <= limit + RATIO_TIE)
-        weights = np.abs(w[cands])
+        weights = np.abs(w[rows[cands]])
         heavy = cands[weights >= weights.max() - 1e-12]
-        block = int(heavy[int(np.argmin(self.basic[heavy]))])
+        k = int(heavy[int(np.argmin(r_basic[heavy]))])
+        block = int(rows[k])
 
-        step = max(float(ratios[block]), 0.0)
+        step = max(float(ratios[k]), 0.0)
         self._track_stall(step)
         self.x[self.basic] = xb + rate * step
         self.x[q] += sigma * step
 
         leave = int(self.basic[block])
-        self.status[leave] = to[block]
-        self.x[leave] = self.lb[leave] if to[block] == AT_LOWER else self.ub[leave]
+        self.status[leave] = to[k]
+        self.x[leave] = self.lb[leave] if to[k] == AT_LOWER else self.ub[leave]
         self.status[q] = BASIC
         self.basic[block] = q
 

@@ -158,6 +158,8 @@ class PlanSolution:
     nodes: int = 0
     lp_iterations: int = 0
     runtime_s: float = 0.0
+    size: tuple[int, int, int] = (0, 0, 0)  # rows, columns, nonzeros of the model
+    presolved_size: tuple[int, int, int] | None = None
 
     @property
     def feasible(self) -> bool:
@@ -180,6 +182,8 @@ def solution_from_result(
             nodes=result.nodes,
             lp_iterations=result.lp_iterations,
             runtime_s=result.runtime_s,
+            size=result.size,
+            presolved_size=result.presolved_size,
         )
     assignment = assignment_from_columns(model, result.x)
     counts = recompute_counts(instance, assignment)
@@ -196,6 +200,8 @@ def solution_from_result(
         nodes=result.nodes,
         lp_iterations=result.lp_iterations,
         runtime_s=result.runtime_s,
+        size=result.size,
+        presolved_size=result.presolved_size,
     )
 
 

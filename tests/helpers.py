@@ -227,3 +227,15 @@ def tiny_instance(
         limits=GridLimits(0.97, 1.03),
         mpc_slow_literal=mpc_slow_literal,
     )
+
+
+def parent_walk_bounds(ref, lb0: np.ndarray, ub0: np.ndarray):
+    """Reference for branch-and-bound node bounds: ``ref`` is a chain of
+    single-column branches, ``(parent_ref, col, lo, hi)`` with ``None`` for
+    the root, walked up one level at a time with ``max``/``min``."""
+    lb, ub = lb0.copy(), ub0.copy()
+    while ref is not None:
+        ref, j, lo, hi = ref
+        lb[j] = max(lb[j], lo)
+        ub[j] = min(ub[j], hi)
+    return lb, ub

@@ -2,15 +2,18 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from evplan.bnb import SolverConfig, solve_bnb
+from evplan.bnb import SolverConfig, _dive_nodes, _Node, solve_bnb
 from evplan.builder import build_plan_model
 from evplan.errors import ParameterError
 from evplan.milp import BINARY, MilpModel
 from evplan.oracle import brute_force_oracle
+from evplan.presolve import presolve
 from evplan.solution import solution_from_result
 
-from helpers import tiny_instance
+from helpers import parent_walk_bounds, tiny_instance
 
 EXACT = SolverConfig(gap=0.0, abs_gap=1e-9)
 
@@ -122,3 +125,83 @@ def test_incumbent_satisfies_model():
     res = solve_bnb(model, EXACT)
     if res.x is not None:
         assert model.check_point(res.x, tol=1e-5) == []
+
+
+# Search trajectory of the exact solver on acceptance instances 1000-1003:
+# (seed, chargers, scenario, status, objective, bound, nodes, LP iterations,
+# presolved rows, columns, nonzeros). Overhead work on the node loop must not
+# move any of these; a changed pivot or node order shows in the counts.
+PINNED_TRAJECTORIES = [
+    (1000, "spc", "A", "optimal", 1840.0, 1840.0, 499, 1148, 46, 30, 160),
+    (1000, "spc", "B", "optimal", 1840.0, 1840.0, 499, 1148, 46, 30, 160),
+    (1000, "mpc", "A", "optimal", 1840.0, 1840.0, 730, 1425, 52, 34, 178),
+    (1000, "mpc", "B", "optimal", 1840.0, 1840.0, 730, 1425, 52, 34, 178),
+    (1001, "spc", "A", "optimal", 919.9999999999999, 919.9999999999999, 25, 148, 53, 32, 184),
+    (1001, "spc", "B", "optimal", 919.9999999999999, 919.9999999999999, 25, 148, 53, 32, 184),
+    (1001, "mpc", "A", "optimal", 919.9999999999999, 919.9999999999999, 33, 196, 61, 38, 204),
+    (1001, "mpc", "B", "optimal", 919.9999999999999, 919.9999999999999, 33, 196, 61, 38, 204),
+    (1002, "spc", "A", "optimal", 920.0, 920.0, 40, 101, 25, 17, 79),
+    (1002, "spc", "B", "optimal", 920.0, 920.0, 40, 101, 25, 17, 79),
+    (1002, "mpc", "A", "optimal", 920.0, 920.0, 61, 150, 31, 21, 91),
+    (1002, "mpc", "B", "optimal", 920.0, 920.0, 61, 150, 31, 21, 91),
+    (1003, "spc", "A", "optimal", 1840.0, 1840.0, 74, 297, 46, 30, 160),
+    (1003, "spc", "B", "optimal", 1840.0, 1840.0, 74, 297, 46, 30, 160),
+    (1003, "mpc", "A", "optimal", 1840.0, 1840.0, 455, 969, 52, 34, 178),
+    (1003, "mpc", "B", "optimal", 1840.0, 1840.0, 455, 969, 52, 34, 178),
+]
+
+
+@pytest.mark.parametrize("seed", [1000, 1001, 1002, 1003])
+def test_search_trajectory_is_pinned(seed):
+    for pin in (p for p in PINNED_TRAJECTORIES if p[0] == seed):
+        _, chargers, scenario = pin[:3]
+        model = build_plan_model(tiny_instance(seed=seed, scenario=scenario, chargers=chargers))
+        red = presolve(model).reduced
+        res = solve_bnb(model, EXACT)
+        got = (seed, chargers, scenario, res.status, res.objective, res.bound,
+               res.nodes, res.lp_iterations, red.n_rows, red.n_cols, red.A.nnz)
+        assert got == pin
+
+
+def _same_bits(a, b):
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_node_bounds_match_parent_walk(data):
+    """Random trees of two-way branches and dive steps (with flip siblings
+    and repeated fixes of one column): every node's bounds equal a walk up
+    the equivalent chain of single-column branches, down to signed zeros."""
+    n = data.draw(st.integers(1, 5), label="columns")
+    value = st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0, 2.0])
+    lb0 = np.array(data.draw(st.lists(st.sampled_from([-np.inf, -1.0, -0.0, 0.0]),
+                                      min_size=n, max_size=n), label="lb"))
+    ub0 = np.array(data.draw(st.lists(st.sampled_from([-0.0, 0.0, 1.0, np.inf]),
+                                      min_size=n, max_size=n), label="ub"))
+    nodes = [(_Node(0, 0.0, None), None)]  # (node, reference chain)
+    next_id = 1
+    for _ in range(data.draw(st.integers(0, 12), label="steps")):
+        parent, ref = data.draw(st.sampled_from(nodes))
+        if data.draw(st.booleans(), label="dive"):
+            cols = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+            vals = data.draw(st.lists(value, min_size=len(cols), max_size=len(cols)))
+            keys = np.arange(len(cols), dtype=float)
+            chain, siblings = _dive_nodes(parent, next_id, np.array(cols), np.array(vals), keys)
+            assert [s.id for s in siblings] == list(range(next_id, next_id + 2 * len(cols), 2))
+            assert chain.id == next_id + 2 * len(cols) - 1
+            next_id += 2 * len(cols)
+            link = ref
+            for sib, col, val in zip(siblings, cols, vals):
+                nodes.append((sib, (link, col, 1.0 - val, 1.0 - val)))
+                link = (link, col, val, val)
+            nodes.append((chain, link))
+        else:
+            col = data.draw(st.integers(0, n - 1))
+            lo, hi = data.draw(value), data.draw(value)
+            nodes.append((_Node(next_id, 0.0, parent, col, lo, hi), (ref, col, lo, hi)))
+            next_id += 1
+    for node, ref in nodes:
+        lb, ub = node.bounds(lb0, ub0)
+        ref_lb, ref_ub = parent_walk_bounds(ref, lb0, ub0)
+        assert _same_bits(lb, ref_lb) and _same_bits(ub, ref_ub)

@@ -102,6 +102,15 @@ def test_solve_and_import_round_trip(tiny_files, tmp_path):
     assert doc["verification"]["ok"] is True
     assert isinstance(doc["lp_iterations"], int) and doc["lp_iterations"] > 0
     assert doc["runtime_s"] > 0.0
+    from evplan.builder import build_plan_model
+
+    model = build_plan_model(inst)
+    size = {"rows": model.n_rows, "columns": model.n_cols, "nonzeros": model.A.nnz}
+    assert doc["model_size"] == size
+    reduced = doc["presolved_size"]
+    assert reduced.keys() == size.keys()
+    assert all(isinstance(v, int) and 0 < v <= size[k] for k, v in reduced.items())
+    assert reduced["columns"] < size["columns"]
 
     from evplan.oracle import brute_force_oracle
 
@@ -117,6 +126,7 @@ def test_solve_and_import_round_trip(tiny_files, tmp_path):
     doc2 = json.loads((tmp_path / "imp" / "solution_spc-A.json").read_text())
     assert doc2["objective"] == pytest.approx(doc["objective"], abs=1e-6)
     assert (doc2["lp_iterations"], doc2["runtime_s"]) == (0, 0.0)
+    assert (doc2["model_size"], doc2["presolved_size"]) == (size, None)
 
 
 def test_import_of_non_numeric_value_exits_2(tiny_files, tmp_path, capsys):
@@ -195,6 +205,22 @@ def test_limit_exits_4(tiny_files, tmp_path):
         "--gap", 0, "--node-limit", 1, "--out", tmp_path / "lim",
     )
     assert rc == 4
+
+
+def test_report_of_plan_less_solution_exits_2(tiny_files, tmp_path, capsys):
+    src, _ = tiny_files
+    inputs = ("--grid", src / "grid.json", "--demand", src / "demand.csv",
+              "--fleet", src / "fleet.json")
+    rc = run_cli("solve", *inputs, "--scenario", "B", "--chargers", "spc",
+                 "--gap", 0, "--node-limit", 1, "--out", tmp_path)
+    assert rc == 4
+    sol = tmp_path / "solution_spc-B.json"
+    assert json.loads(sol.read_text())["columns"] is None
+    capsys.readouterr()
+    rc = run_cli("report", *inputs, "--solutions", sol, "--out", tmp_path / "rep")
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(sol) in err and "status limit" in err
 
 
 def test_report_outputs(tiny_files, tmp_path):

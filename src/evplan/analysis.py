@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -16,7 +17,7 @@ import numpy as np
 from .bnb import SolverConfig
 from .errors import ParameterError
 from .instance import PlanInstance
-from .solution import PlanSolution, recompute_counts, solve_plan
+from .solution import PlanSolution, solve_plan
 
 QUANTILES = (0.0, 0.33, 0.5, 0.67, 1.0)
 
@@ -36,7 +37,6 @@ class StudyReport:
     ordering: list[dict] = field(default_factory=list)
     injection_rows: list[dict] = field(default_factory=list)
     quantile_rows: list[dict] = field(default_factory=list)
-    sweep_rows: list[dict] = field(default_factory=list)
 
     def as_dict(self):
         return {
@@ -46,11 +46,26 @@ class StudyReport:
             "ordering": self.ordering,
             "injections": self.injection_rows,
             "injection_quantiles": self.quantile_rows,
-            "sweep": self.sweep_rows,
         }
 
     def write_json(self, path):
-        Path(path).write_text(json.dumps(self.as_dict(), indent=1) + "\n")
+        Path(path).write_text(dumps_strict(self.as_dict()))
+
+
+def dumps_strict(doc) -> str:
+    """Indented JSON text with every non-finite float written as null, so
+    that strict parsers accept it (an unproven bound is -inf)."""
+
+    def clean(value):
+        if isinstance(value, float) and not math.isfinite(value):
+            return None
+        if isinstance(value, dict):
+            return {k: clean(v) for k, v in value.items()}
+        if isinstance(value, (list, tuple)):
+            return [clean(v) for v in value]
+        return value
+
+    return json.dumps(clean(doc), indent=1, allow_nan=False) + "\n"
 
 
 def charger_table(cases: list[StudyCase]) -> list[dict]:
@@ -63,7 +78,7 @@ def charger_table(cases: list[StudyCase]) -> list[dict]:
         if not case.solution.feasible:
             continue
         inst = case.instance
-        counts = recompute_counts(inst, case.solution.assignment)
+        counts = case.solution.counts
         chargers = counts["fast_chargers"] + counts["slow_chargers"]
         plugs = counts["fast_plugs"] + counts["slow_plugs"]
         for k, node in enumerate(inst.node_ids):
@@ -250,11 +265,7 @@ def write_csv(path, rows: list[dict], columns: list[str] | None = None):
             writer.writerow({k: row.get(k) for k in columns})
 
 
-def build_report(
-    cases: list[StudyCase],
-    gap: float = 0.10,
-    sweep_rows: list[dict] | None = None,
-) -> StudyReport:
+def build_report(cases: list[StudyCase], gap: float = 0.10) -> StudyReport:
     report = StudyReport()
     report.charger_rows = charger_table(cases)
     report.costs, report.savings, report.ordering = cost_comparison(cases, gap)
@@ -263,6 +274,4 @@ def build_report(
             rows, bands = injection_profiles(case)
             report.injection_rows.extend(rows)
             report.quantile_rows.extend(bands)
-    if sweep_rows:
-        report.sweep_rows = sweep_rows
     return report

@@ -36,6 +36,7 @@ PLUNGE_CAP = 20000
 PLUNGE_BACKTRACKS = 400
 PLUNGE_BACKTRACKS_INCUMBENT = 48
 BASIS_CACHE = 4096
+LOG_INTERVAL_S = 10.0  # seconds between progress records at INFO
 
 log = logging.getLogger(__name__)
 
@@ -46,7 +47,6 @@ class SolverConfig:
     abs_gap: float = 1e-9
     node_limit: int | None = None
     time_limit_s: float | None = None
-    log_interval_s: float | None = None  # progress records to the module logger
 
     def __post_init__(self):
         if self.gap < 0 or self.abs_gap < 0:
@@ -195,6 +195,7 @@ class _Search:
         self.next_id = 0
         self.heap: list[tuple[float, _Node]] = []
         self.basis_cache: deque[_Node] = deque()
+        self.log_progress = log.isEnabledFor(logging.INFO)
         self.last_log = self.started
         self.eval_counts = {"fractional": 0, "infeasible": 0, "integral": 0}
         self._last_d: np.ndarray | None = None
@@ -283,11 +284,10 @@ class _Search:
         return _relative_gap(self.incumbent_obj, self.best_bound) <= self.config.gap
 
     def _log(self):
-        cfg = self.config
-        if cfg.log_interval_s is None:
+        if not self.log_progress:
             return
         now = time.monotonic()
-        if now - self.last_log < cfg.log_interval_s:
+        if now - self.last_log < LOG_INTERVAL_S:
             return
         self.last_log = now
         inc = "-" if self.incumbent_x is None else f"{self.incumbent_obj:.1f}"

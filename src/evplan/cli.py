@@ -10,28 +10,30 @@ import argparse
 import json
 import logging
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import data_path
-from .analysis import StudyCase, build_report, demand_sweep, write_csv
-from .bnb import SolverConfig
+from .analysis import StudyCase, build_report, demand_sweep, dumps_strict, write_csv
+from .bnb import MilpSolveResult, SolverConfig
 from .builder import build_plan_model
 from .demand import load_demand
 from .errors import EvPlanError
-from .fleet import ChargerCatalog, CommuteParams, generate_commute_fleet
+from .fleet import ChargerCatalog, generate_commute_fleet
 from .fleet_io import dump_fleet, load_fleet
 from .instance import prepare_instance
 from .linear_grid import GridLimits
 from .mps_io import export_mps, import_solution, write_solution_file
 from .network import load_network
 from .solution import (
+    BINARY_FAMILIES,
+    PlanAssignment,
     PlanSolution,
-    assignment_from_columns,
-    plan_objective,
-    recompute_counts,
-    soc_series,
+    assignment_to_columns,
+    plan_solution,
+    solution_from_result,
     solve_plan,
 )
 from .verify import verify_solution
@@ -185,10 +187,10 @@ def cmd_generate(args) -> int:
     if not homes or not work:
         print("error: grid defines no EV clusters", file=sys.stderr)
         return EXIT_USAGE
-    params = CommuteParams(daily_energy_kwh=float(_arg(args, cfg, "daily-kwh", 4.8)))
     schedule, vehicles = generate_commute_fleet(
         homes, work, int(_arg(args, cfg, "vehicles", 1000)),
-        seed=int(_arg(args, cfg, "seed", 42)), params=params,
+        seed=int(_arg(args, cfg, "seed", 42)),
+        daily_energy_kwh=float(_arg(args, cfg, "daily-kwh", 4.8)),
     )
     out = Path(_arg(args, cfg, "out", "."))
     out.mkdir(parents=True, exist_ok=True)
@@ -221,6 +223,7 @@ def _solution_payload(instance, solution: PlanSolution, label: str) -> dict:
         ).as_dict()
     return {
         "label": label,
+        "mpc_slow_literal": instance.mpc_slow_literal,
         "status": solution.status,
         "objective": solution.objective,
         "bound": solution.bound,
@@ -236,10 +239,7 @@ def _solution_payload(instance, solution: PlanSolution, label: str) -> dict:
             [float(s) for s in solution.assignment.soc_start] if solution.feasible else None
         ),
         "columns": (
-            {
-                fam: solution.assignment.__getattribute__(fam).tolist()
-                for fam in ("fast_charge", "slow_charge", "fast_plug", "slow_plug")
-            }
+            {fam: getattr(solution.assignment, fam).tolist() for fam in BINARY_FAMILIES}
             if solution.feasible
             else None
         ),
@@ -264,19 +264,10 @@ def cmd_solve(args) -> int:
 
     if args.import_path:
         x = import_solution(model, args.import_path)
-        assignment = assignment_from_columns(model, x)
-        counts = recompute_counts(instance, assignment)
-        solution = PlanSolution(
-            status="imported",
-            objective=plan_objective(instance, counts),
-            bound=float("-inf"),
-            gap=None,
-            assignment=assignment,
-            column_values=x,
-            counts=counts,
-            soc=soc_series(instance, assignment),
-            size=(model.n_rows, model.n_cols, model.A.nnz),
+        imported = MilpSolveResult(
+            status="imported", x=x, size=(model.n_rows, model.n_cols, model.A.nnz)
         )
+        solution = solution_from_result(instance, model, imported)
     else:
         if args.verbose:
             logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(message)s")
@@ -284,15 +275,19 @@ def cmd_solve(args) -> int:
             gap=float(_arg(args, cfg, "gap", 0.10)),
             node_limit=_arg(args, cfg, "node-limit"),
             time_limit_s=_arg(args, cfg, "time-limit"),
-            log_interval_s=10.0 if args.verbose else None,
         )
         solution = solve_plan(instance, config, model=model)
+        x = (
+            assignment_to_columns(model, instance, solution.assignment)
+            if solution.feasible
+            else None
+        )
 
     payload = _solution_payload(instance, solution, label)
     sol_path = out / f"solution_{label}.json"
-    sol_path.write_text(json.dumps(payload, indent=1) + "\n")
+    sol_path.write_text(dumps_strict(payload))
     if solution.feasible:
-        write_solution_file(model, solution.column_values, out / f"solution_{label}.txt")
+        write_solution_file(model, x, out / f"solution_{label}.txt")
     print(
         f"{label}: status={solution.status} objective={solution.objective} "
         f"bound={solution.bound:.2f} gap={solution.gap} -> {sol_path}"
@@ -304,55 +299,41 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _case_from_payload(path: Path, base_args, cfg) -> StudyCase:
+def _read_payload(path) -> dict:
+    if not Path(path).exists():
+        raise EvPlanError(f"missing solution file {path}")
     doc = json.loads(Path(path).read_text())
     if doc["columns"] is None:
         # solve writes such a file when a limit stops it before any plan
         raise EvPlanError(f"{path}: no plan to report (status {doc['status']})")
+    return doc
+
+
+def _case_from_payload(doc: dict, base) -> StudyCase:
+    """The file's plan on ``base`` (one linearization shared by every case),
+    priced with the file's configuration and counting rule."""
     label = doc["label"]
     chargers, scenario = label.split("-")
-    args2 = argparse.Namespace(**vars(base_args))
-    args2.scenario = scenario
-    args2.chargers = chargers
-    if not hasattr(args2, "v_min"):
-        args2.v_min, args2.v_max = 0.97, 1.03
-    instance = _instance_from(args2, cfg)
-    cols = doc["columns"]
-    assignment = assignment_from_columns_dict(cols, doc["soc_start"])
-    counts = recompute_counts(instance, assignment)
-    solution = PlanSolution(
-        status=doc["status"],
-        objective=plan_objective(instance, counts),
-        bound=doc["bound"],
-        gap=doc["gap"],
-        assignment=assignment,
-        column_values=None,
-        counts=counts,
-        soc=soc_series(instance, assignment),
+    instance = replace(
+        base,
+        scenario=scenario,
+        chargers=chargers,
+        mpc_slow_literal=bool(doc.get("mpc_slow_literal", False)),
     )
-    return StudyCase(label=label, instance=instance, solution=solution)
-
-
-def assignment_from_columns_dict(cols: dict, soc_start):
-    from .solution import PlanAssignment
-
-    return PlanAssignment(
-        fast_charge=np.asarray(cols["fast_charge"], dtype=int),
-        slow_charge=np.asarray(cols["slow_charge"], dtype=int),
-        fast_plug=np.asarray(cols["fast_plug"], dtype=int),
-        slow_plug=np.asarray(cols["slow_plug"], dtype=int),
-        soc_start=np.asarray(soc_start, dtype=float),
+    assignment = PlanAssignment(
+        **{fam: np.asarray(doc["columns"][fam], dtype=int) for fam in BINARY_FAMILIES},
+        soc_start=np.asarray(doc["soc_start"], dtype=float),
     )
+    bound = -np.inf if doc["bound"] is None else doc["bound"]
+    figures = MilpSolveResult(status=doc["status"], bound=bound, gap=doc["gap"])
+    return StudyCase(label, instance, plan_solution(instance, assignment, figures))
 
 
 def cmd_report(args) -> int:
     cfg = _load_config(args)
-    cases = []
-    for path in args.solutions:
-        if not Path(path).exists():
-            print(f"error: missing solution file {path}", file=sys.stderr)
-            return EXIT_USAGE
-        cases.append(_case_from_payload(path, args, cfg))
+    docs = [_read_payload(path) for path in args.solutions]
+    base = _instance_from(args, cfg)
+    cases = [_case_from_payload(doc, base) for doc in docs]
     report = build_report(cases, gap=float(_arg(args, cfg, "gap", 0.10)))
     out = Path(_arg(args, cfg, "out", "."))
     out.mkdir(parents=True, exist_ok=True)

@@ -166,35 +166,13 @@ def soc_trajectory(
 # -- synthetic commute case study ---------------------------------------
 
 
-@dataclass(frozen=True)
-class CommuteParams:
-    battery_kwh: float = 16.0
-    efficiency: float = 0.9
-    soc_min: float = 0.10
-    soc_max: float = 0.90
-    daily_energy_kwh: float = 4.8
-    morning_departure: tuple[int, int] = (5, 8)
-    morning_arrival: tuple[int, int] = (8, 11)
-    evening_departure: tuple[int, int] = (14, 18)
-    evening_arrival: tuple[int, int] = (17, 21)
-    horizon: int = 24
-    ts_hours: float = 1.0
-
-    def __post_init__(self):
-        for lo, hi in (
-            self.morning_departure,
-            self.morning_arrival,
-            self.evening_departure,
-            self.evening_arrival,
-        ):
-            if lo > hi or lo < 0 or hi >= self.horizon:
-                raise ParameterError(f"hour window ({lo}, {hi}) outside the horizon")
-        if self.morning_departure[0] >= self.morning_arrival[1]:
-            raise ParameterError("morning windows leave no room for arrival > departure")
-        if self.evening_departure[0] >= self.evening_arrival[1]:
-            raise ParameterError("evening windows leave no room for arrival > departure")
-        if self.daily_energy_kwh <= 0:
-            raise ParameterError("daily energy demand must be positive")
+# Inclusive hour windows of the two commute legs on a 24-hour day. Vehicles
+# take the ``Vehicle`` defaults (16 kWh, 90% efficiency, SOC 10-90%).
+HORIZON = 24
+MORNING_DEPARTURE = (5, 8)
+MORNING_ARRIVAL = (8, 11)
+EVENING_DEPARTURE = (14, 18)
+EVENING_ARRIVAL = (17, 21)
 
 
 def _sample_leg(rng: np.random.Generator, dep_win, arr_win) -> tuple[int, int]:
@@ -211,47 +189,42 @@ def generate_commute_fleet(
     work_nodes: list[int],
     count: int,
     seed: int,
-    params: CommuteParams | None = None,
+    daily_energy_kwh: float = 4.8,
 ) -> tuple[FleetSchedule, list[Vehicle]]:
     """Home-work commute: overnight at a cluster-1 node, midday at a
-    cluster-2 node, two driving legs consuming the configured daily energy.
-    Deterministic for a fixed seed."""
+    cluster-2 node, two driving legs consuming ``daily_energy_kwh``, in
+    hourly intervals. Deterministic for a fixed seed."""
     if count < 1:
         raise ParameterError("fleet must contain at least one vehicle")
     if not home_nodes or not work_nodes:
         raise ParameterError("both node clusters must be non-empty")
-    params = params or CommuteParams()
+    if daily_energy_kwh <= 0:
+        raise ParameterError("daily energy demand must be positive")
     rng = np.random.default_rng(seed)
     node_ids = tuple(sorted(set(home_nodes) | set(work_nodes)))
     col = {n: i for i, n in enumerate(node_ids)}
-    T = params.horizon
-
-    parked = np.zeros((count, T, len(node_ids)), dtype=bool)
-    discharge = np.zeros((count, T))
+    parked = np.zeros((count, HORIZON, len(node_ids)), dtype=bool)
+    discharge = np.zeros((count, HORIZON))
     bounds = np.zeros((count, 4), dtype=int)
     vehicles: list[Vehicle] = []
 
     for v in range(count):
         home = home_nodes[int(rng.integers(0, len(home_nodes)))]
         work = work_nodes[int(rng.integers(0, len(work_nodes)))]
-        dep_h, arr_w = _sample_leg(rng, params.morning_departure, params.morning_arrival)
-        dep_w, arr_h = _sample_leg(rng, params.evening_departure, params.evening_arrival)
+        dep_h, arr_w = _sample_leg(rng, MORNING_DEPARTURE, MORNING_ARRIVAL)
+        dep_w, arr_h = _sample_leg(rng, EVENING_DEPARTURE, EVENING_ARRIVAL)
 
         parked[v, :dep_h, col[home]] = True
         parked[v, arr_h:, col[home]] = True
         parked[v, arr_w:dep_w, col[work]] = True
-        leg_kwh = params.daily_energy_kwh / 2.0
-        discharge[v, dep_h:arr_w] = leg_kwh / ((arr_w - dep_h) * params.ts_hours)
-        discharge[v, dep_w:arr_h] = leg_kwh / ((arr_h - dep_w) * params.ts_hours)
+        leg_kwh = daily_energy_kwh / 2.0
+        discharge[v, dep_h:arr_w] = leg_kwh / (arr_w - dep_h)
+        discharge[v, dep_w:arr_h] = leg_kwh / (arr_h - dep_w)
         bounds[v] = (arr_h, dep_h, arr_w, dep_w)
 
         vehicles.append(
             Vehicle(
                 id=v,
-                battery_kwh=params.battery_kwh,
-                efficiency=params.efficiency,
-                soc_min=params.soc_min,
-                soc_max=params.soc_max,
                 home_node=home,
                 work_node=work,
                 stay_bounds=(arr_h, dep_h, arr_w, dep_w),
@@ -263,6 +236,5 @@ def generate_commute_fleet(
         parked=parked,
         discharge_kw=discharge,
         stay_bounds=bounds,
-        ts_hours=params.ts_hours,
     )
     return schedule, vehicles

@@ -14,6 +14,7 @@ from .errors import LoadFlowDivergenceError
 from .network import BusNetwork, build_admittance
 
 MISMATCH_TOL_PU = 1e-8
+MAX_ITER = 30
 
 
 @dataclass(frozen=True)
@@ -57,8 +58,6 @@ def solve_load_flow(
     network: BusNetwork,
     demand_kw: dict[int, float] | np.ndarray,
     demand_kvar: dict[int, float] | np.ndarray,
-    max_iter: int = 30,
-    tol_pu: float = MISMATCH_TOL_PU,
 ) -> OperatingPoint:
     """Newton-Raphson fixed point; raises LoadFlowDivergenceError on failure.
 
@@ -79,7 +78,7 @@ def solve_load_flow(
     vm = np.full(n, network.slack_voltage_pu)
     va = np.zeros(n)
     mismatch = np.inf
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         v = _complex_voltage(vm, va)
         s_calc = v * np.conj(ybus @ v)
         ds = s_spec - s_calc
@@ -88,7 +87,7 @@ def solve_load_flow(
             raise LoadFlowDivergenceError(
                 "load flow produced non-finite state", mismatch=mismatch
             )
-        if mismatch <= tol_pu:
+        if mismatch <= MISMATCH_TOL_PU:
             return _finish(network, ybus, v, p, q, mismatch)
         j = jacobian(ybus, v, pq)
         rhs = np.concatenate([ds[pq].real, ds[pq].imag])
@@ -106,9 +105,9 @@ def solve_load_flow(
                 "voltage magnitude collapsed below zero", mismatch=mismatch
             )
     raise LoadFlowDivergenceError(
-        f"no convergence within {max_iter} iterations (mismatch {mismatch:.3e} pu)",
+        f"no convergence within {MAX_ITER} iterations (mismatch {mismatch:.3e} pu)",
         mismatch=mismatch,
-        iterations=max_iter,
+        iterations=MAX_ITER,
     )
 
 

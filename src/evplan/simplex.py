@@ -28,6 +28,8 @@ PIVOT_TOL = 1e-10
 RATIO_TIE = 1e-9
 REFACTOR_EVERY = 100
 STALL_LIMIT = 300
+ITER_LIMIT_BASE = 20000  # iterations per solve: base + per column (structural and slack)
+ITER_LIMIT_PER_COLUMN = 10
 
 
 @dataclass
@@ -45,7 +47,6 @@ def solve_lp(
     lb: np.ndarray | None = None,
     ub: np.ndarray | None = None,
     warm_basis: np.ndarray | None = None,
-    max_iter: int | None = None,
 ) -> LpResult:
     """LP relaxation of ``model`` (integrality dropped); optional bound
     overrides let branch-and-bound share one matrix across nodes."""
@@ -54,7 +55,6 @@ def solve_lp(
         model.lb if lb is None else lb,
         model.ub if ub is None else ub,
         warm_basis=warm_basis,
-        max_iter=max_iter,
     )
 
 
@@ -163,7 +163,7 @@ class BoundedSimplex:
 
     # -- main entry ---------------------------------------------------------
 
-    def solve(self, lb, ub, warm_basis=None, max_iter=None) -> LpResult:
+    def solve(self, lb, ub, warm_basis=None) -> LpResult:
         m, n = self.m, self.n
         total = n + m
         self.lb = np.concatenate([np.asarray(lb, dtype=float), self.slack_lb])
@@ -172,8 +172,7 @@ class BoundedSimplex:
             return LpResult(status="infeasible")
         self.lb_finite, self.ub_finite = np.isfinite(self.lb), np.isfinite(self.ub)
         self.movable = ~(self.lb == self.ub)
-        if max_iter is None:
-            max_iter = 20000 + 10 * total
+        max_iter = ITER_LIMIT_BASE + ITER_LIMIT_PER_COLUMN * total
 
         engine_ready = self._last_status
         self._last_status = None  # only a clean optimal exit restores it

@@ -17,6 +17,7 @@ from .instance import PlanInstance
 from .milp import MilpModel
 
 COUNT_KEYS = ("fast_chargers", "slow_chargers", "fast_plugs", "slow_plugs")
+BINARY_FAMILIES = ("fast_charge", "slow_charge", "fast_plug", "slow_plug")
 
 
 @dataclass
@@ -48,14 +49,8 @@ class PlanAssignment:
 
 
 def assignment_from_columns(model: MilpModel, x: np.ndarray) -> PlanAssignment:
-    def grab(fam):
-        return np.round(x[model.family(fam)]).astype(int)
-
     return PlanAssignment(
-        fast_charge=grab("fast_charge"),
-        slow_charge=grab("slow_charge"),
-        fast_plug=grab("fast_plug"),
-        slow_plug=grab("slow_plug"),
+        **{fam: np.round(x[model.family(fam)]).astype(int) for fam in BINARY_FAMILIES},
         soc_start=x[model.family("soc_start")].astype(float),
     )
 
@@ -65,10 +60,8 @@ def assignment_to_columns(
 ) -> np.ndarray:
     """Full model point: binaries, minimal edges, recomputed counts."""
     x = np.zeros(model.n_cols)
-    x[model.family("fast_charge")] = assignment.fast_charge
-    x[model.family("slow_charge")] = assignment.slow_charge
-    x[model.family("fast_plug")] = assignment.fast_plug
-    x[model.family("slow_plug")] = assignment.slow_plug
+    for fam in BINARY_FAMILIES:
+        x[model.family(fam)] = getattr(assignment, fam)
     x[model.family("soc_start")] = assignment.soc_start
     for kind in ("fast", "slow"):
         conn, disc = assignment.plug_edges(kind)
@@ -145,16 +138,14 @@ def soc_series(instance: PlanInstance, assignment: PlanAssignment) -> np.ndarray
 
 @dataclass
 class PlanSolution:
-    """Solver outcome for one instance/configuration."""
+    """Solver outcome for one instance/configuration; built by ``plan_solution``."""
 
-    status: str  # optimal | gap-optimal | infeasible | limit
+    status: str  # optimal | gap-optimal | infeasible | limit | imported
     objective: float | None
     bound: float
     gap: float | None
     assignment: PlanAssignment | None
-    column_values: np.ndarray | None
     counts: dict[str, np.ndarray] | None
-    soc: np.ndarray | None
     nodes: int = 0
     lp_iterations: int = 0
     runtime_s: float = 0.0
@@ -166,43 +157,38 @@ class PlanSolution:
         return self.assignment is not None
 
 
-def solution_from_result(
-    instance: PlanInstance, model: MilpModel, result: MilpSolveResult
+def plan_solution(
+    instance: PlanInstance,
+    assignment: PlanAssignment | None,
+    result: MilpSolveResult,
 ) -> PlanSolution:
-    if result.x is None:
-        return PlanSolution(
-            status=result.status,
-            objective=None,
-            bound=result.bound,
-            gap=None,
-            assignment=None,
-            column_values=None,
-            counts=None,
-            soc=None,
-            nodes=result.nodes,
-            lp_iterations=result.lp_iterations,
-            runtime_s=result.runtime_s,
-            size=result.size,
-            presolved_size=result.presolved_size,
-        )
-    assignment = assignment_from_columns(model, result.x)
-    counts = recompute_counts(instance, assignment)
-    objective = plan_objective(instance, counts)
+    """The one way to a ``PlanSolution``: counts and objective recomputed
+    from the binaries (``None`` without a plan); status, bound, gap and the
+    search figures taken from ``result`` as given (its ``x`` is not read)."""
+    counts = objective = None
+    if assignment is not None:
+        counts = recompute_counts(instance, assignment)
+        objective = plan_objective(instance, counts)
     return PlanSolution(
         status=result.status,
         objective=objective,
         bound=result.bound,
         gap=result.gap,
         assignment=assignment,
-        column_values=assignment_to_columns(model, instance, assignment),
         counts=counts,
-        soc=soc_series(instance, assignment),
         nodes=result.nodes,
         lp_iterations=result.lp_iterations,
         runtime_s=result.runtime_s,
         size=result.size,
         presolved_size=result.presolved_size,
     )
+
+
+def solution_from_result(
+    instance: PlanInstance, model: MilpModel, result: MilpSolveResult
+) -> PlanSolution:
+    assignment = None if result.x is None else assignment_from_columns(model, result.x)
+    return plan_solution(instance, assignment, result)
 
 
 def solve_plan(

@@ -2,8 +2,9 @@
 
 Every rule is rechecked from the raw instance data (schedule tensors,
 battery parameters, linearized grid rows), never from the solver matrix.
-The report also re-solves the exact nonlinear load flow at the few worst
-intervals to quantify how much the linearization underestimates reality.
+The report also re-solves the exact nonlinear load flow at every interval
+(or at the k with the heaviest EV load) to check the plan against the
+exact grid limits and to quantify the linearization error.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from .solution import PlanAssignment, recompute_counts, soc_series
 SOC_TOL = 1e-9
 GRID_TOL = 1e-6
 COUNT_TOL = 1e-6
-SPOT_CHECKS = 3
 
 
 @dataclass
@@ -74,8 +74,10 @@ def verify_solution(
     instance: PlanInstance,
     assignment: PlanAssignment,
     counts: dict[str, np.ndarray] | None = None,
-    spot_checks: int = SPOT_CHECKS,
+    spot_checks: int | None = None,
 ) -> FeasibilityReport:
+    """Recheck every rule; ``spot_checks`` limits the exact load flows to
+    that many intervals, heaviest EV load first (None: every interval)."""
     rep = FeasibilityReport()
     _check_parking_logic(instance, assignment, rep)
     _check_soc(instance, assignment, rep)
@@ -83,7 +85,8 @@ def verify_solution(
     _check_driver_rules(instance, assignment, rep)
     if counts is not None:
         _check_counts(instance, assignment, counts, rep)
-    _spot_check_exact_flow(instance, assignment, rep, spot_checks)
+    k = instance.horizon if spot_checks is None else spot_checks
+    _spot_check_exact_flow(instance, assignment, rep, k)
     return rep
 
 

@@ -26,6 +26,7 @@ from evplan.oracle import brute_force_oracle
 from evplan.sensitivity import compute_sensitivities
 from evplan.solution import (
     assignment_to_columns,
+    soc_series,
     solution_from_result,
     solve_plan,
 )
@@ -238,7 +239,7 @@ def test_criterion_7_soc_physics(tiny_battery, desk_study):
         (inst, res) for (inst, model, res, orc) in battery.values() if res.feasible
     ] + [(inst, sol) for inst, sol in cases.values() if sol.feasible]
     for inst, sol in sols:
-        soc = sol.soc
+        soc = soc_series(inst, sol.assignment)
         for v, veh in enumerate(inst.vehicles):
             checked += 1
             if soc[v].min() < veh.soc_min - 1e-9 or soc[v].max() > veh.soc_max + 1e-9:

@@ -64,8 +64,7 @@ def test_cost_orderings_hold_at_gap_zero(four_cases):
 
 def test_case_without_plan_leaves_its_orderings_undecided(four_cases):
     unsolved = PlanSolution(
-        status="limit", objective=None, bound=0.0, gap=None, assignment=None,
-        column_values=None, counts=None, soc=None,
+        status="limit", objective=None, bound=0.0, gap=None, assignment=None, counts=None,
     )
     cases = [
         StudyCase(c.label, c.instance, unsolved) if c.label == "spc-B" else c

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from evplan import bnb
 from evplan.bnb import SolverConfig, _dive_nodes, _Node, solve_bnb
 from evplan.builder import build_plan_model
 from evplan.errors import ParameterError
@@ -61,10 +62,11 @@ def test_node_limit_reports_limit():
         assert res.bound > -np.inf
 
 
-def test_progress_is_logged_at_info(caplog):
+def test_progress_is_logged_at_info(caplog, monkeypatch):
+    monkeypatch.setattr(bnb, "LOG_INTERVAL_S", 0.0)
     with caplog.at_level(logging.INFO, logger="evplan.bnb"):
         model = build_plan_model(tiny_instance(seed=7, scenario="A", chargers="spc"))
-        solve_bnb(model, SolverConfig(gap=0.0, log_interval_s=0.0))
+        solve_bnb(model, SolverConfig(gap=0.0))
     progress = [r for r in caplog.records if r.name == "evplan.bnb"]
     assert progress and all(r.levelno == logging.INFO for r in progress)
     assert progress[0].getMessage().startswith("[bnb] ")

@@ -1,10 +1,12 @@
 import csv
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from evplan import instance as instance_module
 from evplan import sensitivity
 from evplan.cli import main
 from evplan.demand import dump_demand
@@ -42,6 +44,12 @@ def test_generate_default_is_thousand_vehicles(tmp_path):
     doc = json.loads((tmp_path / "fleet.json").read_text())
     assert len(doc["vehicles"]) == 1000
     assert all(v["battery_kwh"] == 16.0 for v in doc["vehicles"])
+
+
+def test_non_positive_daily_energy_exits_2(tmp_path, capsys):
+    assert run_cli("generate", "--vehicles", 3, "--daily-kwh", 0, "--out", tmp_path) == 2
+    assert "daily energy" in capsys.readouterr().err
+    assert not (tmp_path / "fleet.json").exists()
 
 
 def test_missing_grid_file_exits_2(tmp_path):
@@ -195,6 +203,7 @@ def test_infeasible_exits_3(tiny_files, tmp_path):
         "--gap", 0, "--out", work,
     )
     assert rc == 3
+    assert strict_json(work / "solution_spc-A.json")["bound"] is None
 
 
 def test_limit_exits_4(tiny_files, tmp_path):
@@ -275,3 +284,81 @@ def test_sweep_csv(tiny_files, tmp_path):
     lines = (tmp_path / "sweep.csv").read_text().splitlines()
     assert len(lines) == 3
     assert lines[0].startswith("multiplier,slow_chargers")
+
+
+def strict_json(path):
+    """Parse ``path`` rejecting NaN and infinities, which are not JSON."""
+
+    def reject(token):
+        raise ValueError(f"{path}: non-standard JSON constant {token}")
+
+    return json.loads(Path(path).read_text(), parse_constant=reject)
+
+
+def test_unproven_bound_is_written_as_null(tiny_files, tmp_path):
+    src, _ = tiny_files
+    inputs = ("--grid", src / "grid.json", "--demand", src / "demand.csv",
+              "--fleet", src / "fleet.json", "--scenario", "A", "--chargers", "spc")
+    assert run_cli("solve", *inputs, "--gap", 0, "--out", tmp_path) == 0
+    assert run_cli("solve", *inputs, "--import", tmp_path / "solution_spc-A.txt",
+                   "--out", tmp_path / "imp") == 0
+    imported = tmp_path / "imp" / "solution_spc-A.json"
+    doc = strict_json(imported)
+    assert doc["status"] == "imported" and doc["bound"] is None
+    rep = tmp_path / "rep"
+    assert run_cli("report", *inputs[:6], "--solutions", imported, "--out", rep) == 0
+    (row,) = strict_json(rep / "study_report.json")["costs"]
+    assert row["bound"] is None and row["cost"] == doc["objective"]
+
+
+def test_report_prices_each_file_with_its_counting_rule(tmp_path):
+    assert run_cli("generate", "--vehicles", 8, "--seed", 3, "--out", tmp_path) == 0
+    fleet = ("--fleet", tmp_path / "fleet.json")
+    rc = run_cli("solve", *fleet, "--chargers", "mpc", "--scenario", "A",
+                 "--mpc-slow-literal", "--node-limit", 100, "--out", tmp_path)
+    assert rc in (0, 4)
+    literal = tmp_path / "solution_mpc-A.json"
+    doc = json.loads(literal.read_text())
+    assert doc["mpc_slow_literal"] is True
+    slow_chargers = sum(doc["counts"]["slow_chargers"])
+
+    def report(path, out):
+        assert run_cli("report", *fleet, "--solutions", path, "--out", out) == 0
+        (row,) = csv.DictReader((out / "costs.csv").read_text().splitlines())
+        table = csv.DictReader((out / "charger_table.csv").read_text().splitlines())
+        (total,) = [r for r in table if r["node"] == "total"]
+        return float(row["cost"]), int(total["slow_chargers"])
+
+    assert report(literal, tmp_path / "rep") == (doc["objective"], slow_chargers)
+    # A file without the field is priced with the default rule: slow chargers
+    # by the slow-charge peak, which this plan keeps below its slow-plug peak.
+    legacy = tmp_path / "legacy.json"
+    legacy.write_text(json.dumps({k: v for k, v in doc.items() if k != "mpc_slow_literal"}))
+    cost, slow = report(legacy, tmp_path / "rep_default")
+    assert slow < slow_chargers and cost < doc["objective"]
+
+
+def test_report_linearizes_once(tiny_files, tmp_path, monkeypatch):
+    src, inst = tiny_files
+    inputs = ("--grid", src / "grid.json", "--demand", src / "demand.csv",
+              "--fleet", src / "fleet.json")
+    paths = []
+    for chargers in ("spc", "mpc"):
+        for scen in ("A", "B"):
+            rc = run_cli("solve", *inputs, "--scenario", scen, "--chargers", chargers,
+                         "--gap", 0, "--out", tmp_path)
+            assert rc == 0
+            paths.append(tmp_path / f"solution_{chargers}-{scen}.json")
+    calls = []
+    real = instance_module.solve_load_flow
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(instance_module, "solve_load_flow", counting)
+    assert run_cli("report", *inputs, "--solutions", *paths, "--out", tmp_path / "rep") == 0
+    assert len(calls) == inst.horizon
+    docs = [json.loads(p.read_text()) for p in paths]
+    costs = strict_json(tmp_path / "rep" / "study_report.json")["costs"]
+    assert {c["case"]: c["cost"] for c in costs} == {d["label"]: d["objective"] for d in docs}

@@ -4,7 +4,6 @@ import pytest
 from evplan.errors import ParameterError
 from evplan.fleet import (
     ChargerCatalog,
-    CommuteParams,
     FleetSchedule,
     Vehicle,
     generate_commute_fleet,
@@ -128,10 +127,6 @@ class TestCommuteGenerator:
     def test_empty_fleet_rejected(self):
         with pytest.raises(ParameterError):
             generate_commute_fleet(HOMES, WORKS, 0, seed=1)
-
-    def test_inconsistent_windows_rejected(self):
-        with pytest.raises(ParameterError):
-            CommuteParams(morning_departure=(9, 10), morning_arrival=(8, 9))
 
 
 def test_validate_schedule_flags_double_parking():

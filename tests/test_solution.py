@@ -9,6 +9,7 @@ from evplan.solution import (
     assignment_to_columns,
     plan_objective,
     recompute_counts,
+    soc_series,
     solve_plan,
 )
 
@@ -77,10 +78,11 @@ def test_edges_derived_from_plug_states(case):
 
 def test_soc_series_shape_and_bounds(case):
     inst, _, sol = case
-    assert sol.soc.shape == (inst.n_vehicles, inst.horizon + 1)
+    soc = soc_series(inst, sol.assignment)
+    assert soc.shape == (inst.n_vehicles, inst.horizon + 1)
     for v, veh in enumerate(inst.vehicles):
-        assert sol.soc[v].min() >= veh.soc_min - 1e-9
-        assert sol.soc[v].max() <= veh.soc_max + 1e-9
+        assert soc[v].min() >= veh.soc_min - 1e-9
+        assert soc[v].max() <= veh.soc_max + 1e-9
 
 
 def test_spc_counts_tie_plugs_to_chargers():

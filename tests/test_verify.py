@@ -23,7 +23,7 @@ def test_oracle_solution_passes(solved):
     counts = recompute_counts(inst, asg)
     report = verify_solution(inst, asg, counts=counts)
     assert report.ok
-    assert report.spot_checks
+    assert [chk.t for chk in report.spot_checks] == list(range(inst.horizon))
     for chk in report.spot_checks:
         assert chk.converged
         assert chk.exact_within_limits

@@ -222,6 +222,8 @@ def demand_sweep(
     """Re-solve with the driving demand scaled by each multiplier and
     report slow-charger totals; non-monotone steps are flagged (they can
     appear whenever solves stop at a positive MIP gap)."""
+    if not np.all(np.isfinite(multipliers)):
+        raise ParameterError("demand multipliers must be finite")
     rows: list[dict] = []
     previous = None
     for mult in multipliers:

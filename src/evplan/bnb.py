@@ -49,12 +49,12 @@ class SolverConfig:
     time_limit_s: float | None = None
 
     def __post_init__(self):
-        if self.gap < 0 or self.abs_gap < 0:
-            raise ParameterError("gaps must be non-negative")
-        if self.node_limit is not None and self.node_limit <= 0:
+        if not (0 <= self.gap < np.inf and 0 <= self.abs_gap < np.inf):
+            raise ParameterError("gaps must be finite and non-negative")
+        if self.node_limit is not None and not self.node_limit > 0:
             raise ParameterError("node limit must be positive")
-        if self.time_limit_s is not None and self.time_limit_s <= 0:
-            raise ParameterError("time limit must be positive")
+        if self.time_limit_s is not None and not 0 < self.time_limit_s < np.inf:
+            raise ParameterError("time limit must be positive and finite")
 
 
 @dataclass

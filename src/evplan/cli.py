@@ -20,7 +20,7 @@ from .analysis import StudyCase, build_report, demand_sweep, dumps_strict, write
 from .bnb import MilpSolveResult, SolverConfig
 from .builder import build_plan_model
 from .demand import load_demand
-from .errors import EvPlanError
+from .errors import EvPlanError, ParameterError, malformed_input
 from .fleet import ChargerCatalog, generate_commute_fleet
 from .fleet_io import dump_fleet, load_fleet
 from .instance import prepare_instance
@@ -125,8 +125,12 @@ def _build_parser():
 
 def _load_config(args):
     cfg = {}
-    if getattr(args, "config", None):
-        cfg = json.loads(Path(args.config).read_text())
+    path = getattr(args, "config", None)
+    if path:
+        with malformed_input(path):
+            cfg = json.loads(Path(path).read_text())
+        if not isinstance(cfg, dict):
+            raise ParameterError(f"{path}: expected a JSON object")
     return cfg
 
 
@@ -302,10 +306,11 @@ def cmd_solve(args) -> int:
 def _read_payload(path) -> dict:
     if not Path(path).exists():
         raise EvPlanError(f"missing solution file {path}")
-    doc = json.loads(Path(path).read_text())
-    if doc["columns"] is None:
-        # solve writes such a file when a limit stops it before any plan
-        raise EvPlanError(f"{path}: no plan to report (status {doc['status']})")
+    with malformed_input(path):
+        doc = json.loads(Path(path).read_text())
+        if doc["columns"] is None:
+            # solve writes such a file when a limit stops it before any plan
+            raise EvPlanError(f"{path}: no plan to report (status {doc['status']})")
     return doc
 
 
@@ -333,7 +338,10 @@ def cmd_report(args) -> int:
     cfg = _load_config(args)
     docs = [_read_payload(path) for path in args.solutions]
     base = _instance_from(args, cfg)
-    cases = [_case_from_payload(doc, base) for doc in docs]
+    cases = []
+    for path, doc in zip(args.solutions, docs):
+        with malformed_input(path):
+            cases.append(_case_from_payload(doc, base))
     report = build_report(cases, gap=float(_arg(args, cfg, "gap", 0.10)))
     out = Path(_arg(args, cfg, "out", "."))
     out.mkdir(parents=True, exist_ok=True)

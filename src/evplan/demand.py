@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, malformed_input
 from .network import BusNetwork
 
 
@@ -73,9 +73,9 @@ def load_demand(path: str | Path, network: BusNetwork) -> NetDemandProfile:
 
 
 def _read_profile_csv(path: Path) -> tuple[list[int], np.ndarray]:
-    with open(path, newline="") as fh:
+    with malformed_input(path), open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
         if not header or header[0] != "node":
             raise ParameterError(f"{path}: first header column must be 'node'")
         expected = [f"t{i}" for i in range(len(header) - 1)]
@@ -102,18 +102,3 @@ def dump_demand(profile: NetDemandProfile, path: str | Path) -> None:
         writer.writerow(["node"] + [f"t{i}" for i in range(profile.horizon)])
         for r, node in enumerate(profile.node_ids):
             writer.writerow([node] + [f"{x:.6f}" for x in profile.p_kw[r]])
-
-
-def scale_profile(network: BusNetwork, shape: np.ndarray) -> NetDemandProfile:
-    """Demand from a normalized 24h shape: P = rating * pf * shape[t]."""
-    shape = np.asarray(shape, dtype=float)
-    nodes = tuple(network.node_ids)
-    p = np.zeros((len(nodes), len(shape)))
-    q = np.zeros_like(p)
-    for r, node in enumerate(nodes):
-        bus = network.buses[network.bus_index(node)]
-        if bus.rating_kva is None:
-            continue
-        p[r] = bus.rating_kva * bus.power_factor * shape
-        q[r] = p[r] * np.tan(np.arccos(bus.power_factor))
-    return NetDemandProfile(node_ids=nodes, p_kw=p, q_kvar=q)

@@ -1,5 +1,7 @@
 """Exception types shared across the planning toolkit."""
 
+from contextlib import contextmanager
+
 
 class EvPlanError(Exception):
     """Base class for all toolkit errors."""
@@ -57,3 +59,16 @@ class SolutionImportError(EvPlanError):
     def __init__(self, message, violations=None):
         super().__init__(message)
         self.violations = violations or []
+
+
+@contextmanager
+def malformed_input(path):
+    """Re-raise what a malformed input file makes a reader trip over (bad
+    JSON, a missing field, a value of the wrong type or shape) as a
+    ParameterError that names ``path``."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ParameterError(f"{path}: missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ParameterError(f"{path}: {exc}") from exc

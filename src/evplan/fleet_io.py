@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, malformed_input
 from .fleet import FleetSchedule, Vehicle
 
 
@@ -59,33 +59,39 @@ def dump_fleet(
 
 def load_fleet(fleet_path: str | Path) -> tuple[FleetSchedule, list[Vehicle]]:
     fleet_path = Path(fleet_path)
-    with open(fleet_path) as fh:
-        doc = json.load(fh)
-    vehicles = [
-        Vehicle(
-            id=int(v["id"]),
-            battery_kwh=float(v["battery_kwh"]),
-            efficiency=float(v["efficiency"]),
-            soc_min=float(v["soc_min"]),
-            soc_max=float(v["soc_max"]),
-            home_node=v.get("home_node"),
-            work_node=v.get("work_node"),
-            stay_bounds=tuple(v["stay_bounds"]) if v.get("stay_bounds") else None,
-        )
-        for v in doc["vehicles"]
-    ]
-    node_ids = tuple(int(n) for n in doc["node_ids"])
+    with malformed_input(fleet_path):
+        with open(fleet_path) as fh:
+            doc = json.load(fh)
+        vehicles = [
+            Vehicle(
+                id=int(v["id"]),
+                battery_kwh=float(v["battery_kwh"]),
+                efficiency=float(v["efficiency"]),
+                soc_min=float(v["soc_min"]),
+                soc_max=float(v["soc_max"]),
+                home_node=v.get("home_node"),
+                work_node=v.get("work_node"),
+                stay_bounds=tuple(v["stay_bounds"]) if v.get("stay_bounds") else None,
+            )
+            for v in doc["vehicles"]
+        ]
+        node_ids = tuple(int(n) for n in doc["node_ids"])
+        V = len(vehicles)
+        T = int(doc["horizon"])
+        ts_hours = float(doc["ts_hours"])
+        sched_path = fleet_path.parent / doc["schedule"]
+        bounds = np.full((V, 4), -1, dtype=int)
+        for i, v in enumerate(vehicles):
+            if v.stay_bounds is not None:
+                bounds[i] = v.stay_bounds
     col = {n: i for i, n in enumerate(node_ids)}
-    V = len(vehicles)
-    T = int(doc["horizon"])
     parked = np.zeros((V, T, len(node_ids)), dtype=bool)
     discharge = np.zeros((V, T))
     seen = np.zeros((V, T), dtype=bool)
 
-    sched_path = fleet_path.parent / doc["schedule"]
-    with open(sched_path, newline="") as fh:
+    with malformed_input(sched_path), open(sched_path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
         if header != ["vehicle", "t", "node", "discharge_kw"]:
             raise ParameterError(f"{sched_path}: unexpected header {header}")
         for rec in reader:
@@ -103,15 +109,11 @@ def load_fleet(fleet_path: str | Path) -> tuple[FleetSchedule, list[Vehicle]]:
     if not seen.all():
         raise ParameterError(f"{sched_path}: missing (vehicle, t) rows")
 
-    bounds = np.full((V, 4), -1, dtype=int)
-    for i, v in enumerate(vehicles):
-        if v.stay_bounds is not None:
-            bounds[i] = v.stay_bounds
     schedule = FleetSchedule(
         node_ids=node_ids,
         parked=parked,
         discharge_kw=discharge,
         stay_bounds=bounds,
-        ts_hours=float(doc["ts_hours"]),
+        ts_hours=ts_hours,
     )
     return schedule, vehicles

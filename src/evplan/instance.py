@@ -88,21 +88,23 @@ class PlanInstance:
                     out[v, t] = order[node]
         return out
 
+    def scatter(self, values: np.ndarray) -> np.ndarray:
+        """(n_nodes, T) sums of a (V, T) per-vehicle array at the node where
+        each vehicle is parked; driving hours drop out. Each cell adds its
+        vehicles in increasing index order."""
+        v, t = np.nonzero(self.parked_col >= 0)
+        out = np.zeros((len(self.node_ids), self.horizon), dtype=values.dtype)
+        np.add.at(out, (self.parked_col[v, t], t), values[v, t])
+        return out
+
     def ev_injections(self, fast_charge: np.ndarray, slow_charge: np.ndarray):
         """Nodal (P, Q) pulled by the chargers, shape (n_nodes, T), from a
         complete charge assignment."""
-        n = len(self.node_ids)
-        p = np.zeros((n, self.horizon))
-        q = np.zeros((n, self.horizon))
         cat = self.catalog
-        for v in range(self.n_vehicles):
-            for t in range(self.horizon):
-                col = self.parked_col[v, t]
-                if col < 0:
-                    continue
-                p[col, t] += cat.fast_kw * fast_charge[v, t] + cat.slow_kw * slow_charge[v, t]
-                q[col, t] += cat.fast_kvar * fast_charge[v, t] + cat.slow_kvar * slow_charge[v, t]
-        return p, q
+        return (
+            self.scatter(cat.fast_kw * fast_charge + cat.slow_kw * slow_charge),
+            self.scatter(cat.fast_kvar * fast_charge + cat.slow_kvar * slow_charge),
+        )
 
 
 def prepare_instance(

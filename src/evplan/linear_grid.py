@@ -17,8 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleBasePointError, LoadFlowDivergenceError, ParameterError
-from .loadflow import solve_load_flow
+from .errors import InfeasibleBasePointError, ParameterError
 from .network import BusNetwork
 from .sensitivity import SensitivityCoefficients
 
@@ -31,8 +30,8 @@ class GridLimits:
     v_max_pu: float = 1.03
 
     def __post_init__(self):
-        if self.v_min_pu <= 0 or self.v_max_pu <= 0:
-            raise ParameterError("voltage limits must be positive")
+        if not (0 < self.v_min_pu < np.inf and 0 < self.v_max_pu < np.inf):
+            raise ParameterError("voltage limits must be positive and finite")
         if self.v_min_pu >= self.v_max_pu:
             raise ParameterError("lower voltage limit must be below the upper one")
 
@@ -87,7 +86,7 @@ def linear_grid_constraints(
     """
     point = sens.point
     nodes = np.array(network.node_ids, dtype=int)
-    bus = np.array([network.bus_index(b) for b in nodes], dtype=int)
+    bus = network.node_bus
     rated = np.array([k for k, i in enumerate(bus) if network.buses[i].rating_kva is not None], dtype=int)
     lo, hi = np.array(
         [apparent_power_box(network.buses[i].rating_kva, network.buses[i].power_factor) for i in bus[rated]]
@@ -111,7 +110,7 @@ def linear_grid_constraints(
         q_coef=coefficients(sens.dv_dq, sens.di_dq, sens.ds0_dq, np.zeros_like(unit)),
         rhs=np.concatenate([
             _pairs(v0 - limits.v_min_pu, limits.v_max_pu - v0),
-            np.array([ln.ampacity_a for ln in network.lines]) - point.current_a,
+            network.ampacity_a - point.current_a,
             [network.transformer_kva - point.slack_kva],
             _pairs(p0 - lo, hi - p0),
         ]),
@@ -123,53 +122,3 @@ def linear_grid_constraints(
             violations=[(rows.kind[r], int(rows.subject[r]), float(rows.rhs[r])) for r in bad],
         )
     return rows
-
-
-@dataclass(frozen=True)
-class LinearizationCheck:
-    scenario: int
-    converged: bool
-    max_voltage_error_pu: float = float("nan")
-    max_current_error_a: float = float("nan")
-    slack_error_kva: float = float("nan")
-
-
-def validate_linearization(
-    network: BusNetwork,
-    sens: SensitivityCoefficients,
-    increments: list[tuple[np.ndarray, np.ndarray]],
-) -> list[LinearizationCheck]:
-    """Exact-vs-linear errors for a list of (dP, dQ) increment scenarios.
-
-    Scenarios whose exact load flow diverges are flagged instead of failing
-    the whole report.
-    """
-    point = sens.point
-    out: list[LinearizationCheck] = []
-    node_idx = [network.bus_index(b) for b in sens.node_ids]
-    for k, (dp, dq) in enumerate(increments):
-        p = point.p_kw.copy()
-        q = point.q_kvar.copy()
-        for col, i in enumerate(node_idx):
-            p[i] += dp[col]
-            q[i] += dq[col]
-        try:
-            exact = solve_load_flow(network, p, q)
-        except LoadFlowDivergenceError:
-            out.append(LinearizationCheck(scenario=k, converged=False))
-            continue
-        v_lin = point.voltage_pu + sens.dv_dp @ dp + sens.dv_dq @ dq
-        i_lin = point.current_a + sens.di_dp @ dp + sens.di_dq @ dq
-        s0_lin = point.slack_kva + sens.ds0_dp @ dp + sens.ds0_dq @ dq
-        out.append(
-            LinearizationCheck(
-                scenario=k,
-                converged=True,
-                max_voltage_error_pu=float(np.max(np.abs(v_lin - exact.voltage_pu))),
-                max_current_error_a=float(np.max(np.abs(i_lin - exact.current_a)))
-                if network.n_lines
-                else 0.0,
-                slack_error_kva=float(abs(s0_lin - exact.slack_kva)),
-            )
-        )
-    return out

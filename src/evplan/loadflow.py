@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LoadFlowDivergenceError
-from .network import BusNetwork, build_admittance
+from .network import BusNetwork
 
 MISMATCH_TOL_PU = 1e-8
 MAX_ITER = 30
@@ -35,51 +35,32 @@ class OperatingPoint:
     mismatch_pu: float
 
 
-def _complex_voltage(vm: np.ndarray, va: np.ndarray) -> np.ndarray:
-    return vm * np.exp(1j * va)
-
-
-def line_current_matrix(network: BusNetwork) -> np.ndarray:
-    """(n_lines, n_buses) per-unit map from bus voltage phasors to
-    sending-end line current phasors (pi model: series current plus the
-    sending-end half shunt). Being linear, it also maps voltage derivatives
-    to current derivatives."""
-    z_base = network.z_base_ohm
-    c = np.zeros((network.n_lines, network.n_buses), dtype=complex)
-    for k, ln in enumerate(network.lines):
-        a, b = network.bus_index(ln.from_bus), network.bus_index(ln.to_bus)
-        y_ser = 1.0 / ((ln.r_ohm + 1j * ln.x_ohm) / z_base)
-        c[k, a] += y_ser + 0.5j * ln.b_s * z_base
-        c[k, b] -= y_ser
-    return c
-
-
 def solve_load_flow(
-    network: BusNetwork,
-    demand_kw: dict[int, float] | np.ndarray,
-    demand_kvar: dict[int, float] | np.ndarray,
+    network: BusNetwork, demand_kw: np.ndarray, demand_kvar: np.ndarray
 ) -> OperatingPoint:
     """Newton-Raphson fixed point; raises LoadFlowDivergenceError on failure.
 
-    Demand may be given as arrays over all buses (slack entry ignored) or as
-    {bus_id: value} maps over non-slack nodes.
+    Demand is given as arrays over all buses in network order; the slack
+    entry is ignored.
     """
     n = network.n_buses
     sl = network.slack_index
-    p = _as_bus_array(network, demand_kw)
-    q = _as_bus_array(network, demand_kvar)
+    p = np.array(demand_kw, dtype=float)
+    q = np.array(demand_kvar, dtype=float)
+    if p.shape != (n,) or q.shape != (n,):
+        raise ValueError(f"expected {n} bus values, got {p.shape} and {q.shape}")
     p[sl] = 0.0
     q[sl] = 0.0
 
-    ybus = build_admittance(network)
+    ybus = network.admittance
     s_spec = -(p + 1j * q) / network.base_kva  # injection convention
-    pq = np.array([i for i in range(n) if i != sl])
+    pq = network.node_bus
 
     vm = np.full(n, network.slack_voltage_pu)
     va = np.zeros(n)
     mismatch = np.inf
     for _ in range(MAX_ITER):
-        v = _complex_voltage(vm, va)
+        v = vm * np.exp(1j * va)
         s_calc = v * np.conj(ybus @ v)
         ds = s_spec - s_calc
         mismatch = float(np.max(np.abs(np.concatenate([ds[pq].real, ds[pq].imag]))))
@@ -109,18 +90,6 @@ def solve_load_flow(
         mismatch=mismatch,
         iterations=MAX_ITER,
     )
-
-
-def _as_bus_array(network: BusNetwork, values) -> np.ndarray:
-    if isinstance(values, dict):
-        out = np.zeros(network.n_buses)
-        for bus_id, val in values.items():
-            out[network.bus_index(bus_id)] = float(val)
-        return out
-    arr = np.asarray(values, dtype=float)
-    if arr.shape != (network.n_buses,):
-        raise ValueError(f"expected {network.n_buses} bus values, got {arr.shape}")
-    return arr.copy()
 
 
 def jacobian(ybus: np.ndarray, v: np.ndarray, pq: np.ndarray) -> np.ndarray:
@@ -156,7 +125,7 @@ def _finish(network, ybus, v, p, q, mismatch) -> OperatingPoint:
         q_kvar=q,
         voltage_pu=np.abs(v),
         angle_rad=np.angle(v),
-        current_a=np.abs(line_current_matrix(network) @ v) * network.i_base_a,
+        current_a=np.abs(network.line_currents @ v) * network.i_base_a,
         slack_kva=float(abs(s_slack)),
         mismatch_pu=mismatch,
     )

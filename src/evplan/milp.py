@@ -154,10 +154,6 @@ class MilpModel:
     # -- queries ---------------------------------------------------------
 
     @property
-    def frozen(self) -> bool:
-        return self._frozen
-
-    @property
     def n_cols(self) -> int:
         return len(self.col_names)
 
@@ -171,10 +167,6 @@ class MilpModel:
 
     def family(self, name: str) -> np.ndarray:
         return self._families[name]
-
-    @property
-    def families(self) -> dict[str, np.ndarray]:
-        return dict(self._families)
 
     def column_of(self, family: str, *pos) -> int:
         return int(self._families[family][pos])

@@ -1,4 +1,5 @@
-"""Medium-voltage grid model: buses, lines, per-unit bases, admittance.
+"""Medium-voltage grid model: buses, lines, per-unit bases and the grid
+matrices the load flow and the sensitivities share.
 
 Injections are demand-positive throughout the package: a positive nodal
 power means the node draws power from the grid.
@@ -8,11 +9,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ParameterError, SingularLineError, TopologyError
+from .errors import ParameterError, SingularLineError, TopologyError, malformed_input
 
 
 @dataclass(frozen=True)
@@ -131,64 +133,99 @@ class BusNetwork:
     def i_base_a(self) -> float:
         return self.base_kva / (np.sqrt(3.0) * self.base_kv)
 
+    # -- grid constants, built once at first use (read-only) ------------
 
-def build_admittance(network: BusNetwork) -> np.ndarray:
-    """Node admittance matrix in per-unit on the network base.
+    @cached_property
+    def node_bus(self) -> np.ndarray:
+        """Bus indices of ``node_ids``: the load flow's PQ buses."""
+        return _read_only(np.array([self._index[b] for b in self.node_ids], dtype=int))
 
-    Lines use the pi model: series admittance 1/z plus half the shunt
-    susceptance at each end.
-    """
-    n = network.n_buses
-    y = np.zeros((n, n), dtype=complex)
-    z_base = network.z_base_ohm
-    for ln in network.lines:
-        z_pu = (ln.r_ohm + 1j * ln.x_ohm) / z_base
-        if abs(z_pu) == 0.0:
-            raise SingularLineError(f"line {ln.name()} has zero series impedance")
-        y_ser = 1.0 / z_pu
-        y_sh_half = 0.5j * ln.b_s * z_base
-        a, b = network.bus_index(ln.from_bus), network.bus_index(ln.to_bus)
-        y[a, a] += y_ser + y_sh_half
-        y[b, b] += y_ser + y_sh_half
-        y[a, b] -= y_ser
-        y[b, a] -= y_ser
-    return y
+    @cached_property
+    def ampacity_a(self) -> np.ndarray:
+        """Line current limits in amperes, in line order."""
+        return _read_only(np.array([ln.ampacity_a for ln in self.lines]))
+
+    @property
+    def admittance(self) -> np.ndarray:
+        """(n_buses, n_buses) node admittance matrix, per-unit."""
+        return self._matrices[0]
+
+    @property
+    def line_currents(self) -> np.ndarray:
+        """(n_lines, n_buses) per-unit map from bus voltage phasors to
+        sending-end line current phasors. Being linear, it also maps voltage
+        derivatives to current derivatives."""
+        return self._matrices[1]
+
+    @cached_property
+    def _matrices(self) -> tuple[np.ndarray, np.ndarray]:
+        y, c = self._build_matrices()
+        return _read_only(y), _read_only(c)
+
+    def _build_matrices(self) -> tuple[np.ndarray, np.ndarray]:
+        """Admittance matrix and line-current map of the pi line model:
+        series admittance 1/z plus half the shunt susceptance at each end.
+        Raises SingularLineError for a line of zero series impedance."""
+        n = self.n_buses
+        y = np.zeros((n, n), dtype=complex)
+        c = np.zeros((self.n_lines, n), dtype=complex)
+        z_base = self.z_base_ohm
+        for k, ln in enumerate(self.lines):
+            z_pu = (ln.r_ohm + 1j * ln.x_ohm) / z_base
+            if abs(z_pu) == 0.0:
+                raise SingularLineError(f"line {ln.name()} has zero series impedance")
+            y_ser = 1.0 / z_pu
+            y_sh_half = 0.5j * ln.b_s * z_base
+            a, b = self._index[ln.from_bus], self._index[ln.to_bus]
+            y[a, a] += y_ser + y_sh_half
+            y[b, b] += y_ser + y_sh_half
+            y[a, b] -= y_ser
+            y[b, a] -= y_ser
+            c[k, a] += y_ser + y_sh_half
+            c[k, b] -= y_ser
+        return y, c
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
 
 
 def load_network(path: str | Path) -> BusNetwork:
     """Read the grid JSON interchange format (see the bundled 14-bus file)."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    buses = tuple(
-        Bus(
-            id=int(b["id"]),
-            base_kv=float(b["base_kv"]),
-            rating_kva=None if b.get("rating_kva") is None else float(b["rating_kva"]),
-            power_factor=None if b.get("power_factor") is None else float(b["power_factor"]),
-            cluster=None if b.get("cluster") is None else int(b["cluster"]),
+    with malformed_input(path):
+        with open(path) as fh:
+            doc = json.load(fh)
+        buses = tuple(
+            Bus(
+                id=int(b["id"]),
+                base_kv=float(b["base_kv"]),
+                rating_kva=None if b.get("rating_kva") is None else float(b["rating_kva"]),
+                power_factor=None if b.get("power_factor") is None else float(b["power_factor"]),
+                cluster=None if b.get("cluster") is None else int(b["cluster"]),
+            )
+            for b in doc["buses"]
         )
-        for b in doc["buses"]
-    )
-    lines = tuple(
-        Line(
-            from_bus=int(l["from"]),
-            to_bus=int(l["to"]),
-            r_ohm=float(l["r_ohm"]),
-            x_ohm=float(l["x_ohm"]),
-            b_s=float(l.get("b_s", 0.0)),
-            ampacity_a=float(l.get("ampacity_a", float("inf"))),
+        lines = tuple(
+            Line(
+                from_bus=int(l["from"]),
+                to_bus=int(l["to"]),
+                r_ohm=float(l["r_ohm"]),
+                x_ohm=float(l["x_ohm"]),
+                b_s=float(l.get("b_s", 0.0)),
+                ampacity_a=float(l.get("ampacity_a", float("inf"))),
+            )
+            for l in doc["lines"]
         )
-        for l in doc["lines"]
-    )
-    return BusNetwork(
-        buses=buses,
-        lines=lines,
-        slack_bus=int(doc["slack"]["bus"]),
-        slack_voltage_pu=float(doc["slack"]["voltage_pu"]),
-        transformer_kva=float(doc["transformer_kva"]),
-        base_kva=float(doc["base_kva"]),
-        base_kv=float(doc["base_kv"]),
-    )
+        return BusNetwork(
+            buses=buses,
+            lines=lines,
+            slack_bus=int(doc["slack"]["bus"]),
+            slack_voltage_pu=float(doc["slack"]["voltage_pu"]),
+            transformer_kva=float(doc["transformer_kva"]),
+            base_kva=float(doc["base_kva"]),
+            base_kv=float(doc["base_kv"]),
+        )
 
 
 def dump_network(network: BusNetwork, path: str | Path) -> None:

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SensitivityError
-from .loadflow import MISMATCH_TOL_PU, OperatingPoint, jacobian, line_current_matrix
-from .network import BusNetwork, build_admittance
+from .loadflow import MISMATCH_TOL_PU, OperatingPoint, jacobian
+from .network import BusNetwork
 
 
 @dataclass(frozen=True)
@@ -64,9 +64,9 @@ def compute_sensitivities(network: BusNetwork, point: OperatingPoint) -> Sensiti
     load-flow Jacobian there is singular."""
     node_ids = tuple(network.node_ids)
     m = len(node_ids)
-    pq = np.array([network.bus_index(b) for b in node_ids], dtype=int)
+    pq = network.node_bus
     sl = network.slack_index
-    ybus = build_admittance(network)
+    ybus = network.admittance
     v = point.voltage_pu * np.exp(1j * point.angle_rad)
 
     # Columns: demand P at each node (per kW), then Q (per kVAr). Rows:
@@ -80,7 +80,7 @@ def compute_sensitivities(network: BusNetwork, point: OperatingPoint) -> Sensiti
     dv[pq] = v[pq, None] * (1j * x[:m] + x[m:] / point.voltage_pu[pq, None])
 
     dvm = _magnitude_derivative(v, dv)
-    c = line_current_matrix(network)
+    c = network.line_currents
     di = _magnitude_derivative(c @ v, c @ dv) * network.i_base_a
     s_slack = v[sl] * np.conj(ybus[sl] @ v)
     ds0 = _magnitude_derivative(s_slack, v[sl] * np.conj(ybus[sl] @ dv)) * network.base_kva

@@ -75,20 +75,11 @@ def assignment_to_columns(
 
 def recompute_counts(instance: PlanInstance, assignment: PlanAssignment) -> dict[str, np.ndarray]:
     """Equipment needs per node: max over time of simultaneous use."""
-    n_nodes = len(instance.node_ids)
-    T = instance.horizon
-    parked_col = instance.parked_col
-    sums = {k: np.zeros((n_nodes, T), dtype=int) for k in ("fc", "sc", "fp", "sp")}
-    for v in range(instance.n_vehicles):
-        for t in range(T):
-            col = parked_col[v, t]
-            if col < 0:
-                continue
-            sums["fc"][col, t] += assignment.fast_charge[v, t]
-            sums["sc"][col, t] += assignment.slow_charge[v, t]
-            sums["fp"][col, t] += assignment.fast_plug[v, t]
-            sums["sp"][col, t] += assignment.slow_plug[v, t]
-    peak = {k: s.max(axis=1) for k, s in sums.items()}
+    peak = {
+        key: instance.scatter(np.asarray(getattr(assignment, fam), dtype=int)).max(axis=1)
+        for key, fam in (("fc", "fast_charge"), ("sc", "slow_charge"),
+                         ("fp", "fast_plug"), ("sp", "slow_plug"))
+    }
     if instance.chargers == "spc":
         counts = {
             "fast_chargers": peak["fp"],

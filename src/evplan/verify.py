@@ -15,7 +15,9 @@ import numpy as np
 
 from .errors import LoadFlowDivergenceError
 from .instance import PlanInstance
-from .loadflow import solve_load_flow
+from .loadflow import OperatingPoint, solve_load_flow
+from .network import BusNetwork
+from .sensitivity import SensitivityCoefficients
 from .solution import PlanAssignment, recompute_counts, soc_series
 
 SOC_TOL = 1e-9
@@ -79,14 +81,15 @@ def verify_solution(
     """Recheck every rule; ``spot_checks`` limits the exact load flows to
     that many intervals, heaviest EV load first (None: every interval)."""
     rep = FeasibilityReport()
+    dp, dq = instance.ev_injections(assignment.fast_charge, assignment.slow_charge)
     _check_parking_logic(instance, assignment, rep)
     _check_soc(instance, assignment, rep)
-    _check_grid(instance, assignment, rep)
+    _check_grid(instance, dp, dq, rep)
     _check_driver_rules(instance, assignment, rep)
     if counts is not None:
         _check_counts(instance, assignment, counts, rep)
     k = instance.horizon if spot_checks is None else spot_checks
-    _spot_check_exact_flow(instance, assignment, rep, k)
+    _spot_check_exact_flow(instance, dp, dq, rep, k)
     return rep
 
 
@@ -127,8 +130,7 @@ def _check_soc(inst, asg, rep):
             )
 
 
-def _check_grid(inst, asg, rep):
-    dp, dq = inst.ev_injections(asg.fast_charge, asg.slow_charge)
+def _check_grid(inst, dp, dq, rep):
     for t, rows in enumerate(inst.grid_rows):
         margin = rows.rhs - rows.p_coef @ dp[:, t] - rows.q_coef @ dq[:, t]
         for r in np.flatnonzero(margin < -GRID_TOL * np.maximum(1.0, np.abs(rows.rhs))):
@@ -189,45 +191,53 @@ def _check_counts(inst, asg, counts, rep):
                 )
 
 
-def _spot_check_exact_flow(inst, asg, rep, k):
+def linearization_error(
+    network: BusNetwork, sens: SensitivityCoefficients, dp: np.ndarray, dq: np.ndarray
+) -> tuple[OperatingPoint | None, dict[str, float]]:
+    """Exact load flow at ``sens.point`` moved by the nodal demand
+    increments (dP, dQ), and the errors of the linear prediction there.
+
+    Returns the exact state and the largest voltage, line-current and slack
+    errors (keyed like ``SpotCheck``), or ``(None, {})`` when the exact load
+    flow diverges.
+    """
+    point = sens.point
+    p = point.p_kw.copy()
+    q = point.q_kvar.copy()
+    p[network.node_bus] += dp
+    q[network.node_bus] += dq
+    try:
+        exact = solve_load_flow(network, p, q)
+    except LoadFlowDivergenceError:
+        return None, {}
+    v_lin = point.voltage_pu + sens.dv_dp @ dp + sens.dv_dq @ dq
+    i_lin = point.current_a + sens.di_dp @ dp + sens.di_dq @ dq
+    s_lin = point.slack_kva + sens.ds0_dp @ dp + sens.ds0_dq @ dq
+    return exact, {
+        "max_voltage_error_pu": float(np.max(np.abs(v_lin - exact.voltage_pu))),
+        "max_current_error_a": float(np.max(np.abs(i_lin - exact.current_a), initial=0.0)),
+        "slack_error_kva": float(abs(s_lin - exact.slack_kva)),
+    }
+
+
+def _spot_check_exact_flow(inst, dp, dq, rep, k):
     if k <= 0:
         return
-    dp, dq = inst.ev_injections(asg.fast_charge, asg.slow_charge)
     order = np.argsort(-dp.sum(axis=0), kind="stable")[:k]  # heaviest EV load first
+    net = inst.network
     limits = inst.limits
     for t in sorted(int(t) for t in order):
-        sens = inst.linearizations[t]
-        point = sens.point
-        p = point.p_kw.copy()
-        q = point.q_kvar.copy()
-        for col, node in enumerate(inst.node_ids):
-            i = inst.network.bus_index(node)
-            p[i] += dp[col, t]
-            q[i] += dq[col, t]
-        try:
-            exact = solve_load_flow(inst.network, p, q)
-        except LoadFlowDivergenceError:
+        exact, errors = linearization_error(net, inst.linearizations[t], dp[:, t], dq[:, t])
+        if exact is None:
             rep.spot_checks.append(SpotCheck(t=t, converged=False))
             continue
-        v_lin = point.voltage_pu + sens.dv_dp @ dp[:, t] + sens.dv_dq @ dq[:, t]
-        i_lin = point.current_a + sens.di_dp @ dp[:, t] + sens.di_dq @ dq[:, t]
-        s_lin = point.slack_kva + sens.ds0_dp @ dp[:, t] + sens.ds0_dq @ dq[:, t]
-        nodes = [inst.network.bus_index(n) for n in inst.node_ids]
-        vmags = exact.voltage_pu[nodes]
-        amp = np.array([l.ampacity_a for l in inst.network.lines])
+        vmags = exact.voltage_pu[net.node_bus]
         within = (
             vmags.min() >= limits.v_min_pu - 1e-6
             and vmags.max() <= limits.v_max_pu + 1e-6
-            and np.all(exact.current_a <= amp + 1e-6)
-            and exact.slack_kva <= inst.network.transformer_kva + 1e-6
+            and np.all(exact.current_a <= net.ampacity_a + 1e-6)
+            and exact.slack_kva <= net.transformer_kva + 1e-6
         )
         rep.spot_checks.append(
-            SpotCheck(
-                t=t,
-                converged=True,
-                max_voltage_error_pu=float(np.max(np.abs(v_lin - exact.voltage_pu))),
-                max_current_error_a=float(np.max(np.abs(i_lin - exact.current_a))),
-                slack_error_kva=float(abs(s_lin - exact.slack_kva)),
-                exact_within_limits=bool(within),
-            )
+            SpotCheck(t=t, converged=True, exact_within_limits=bool(within), **errors)
         )

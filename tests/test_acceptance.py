@@ -17,7 +17,6 @@ from evplan.builder import build_plan_model
 from evplan.demand import load_demand
 from evplan.fleet import generate_commute_fleet
 from evplan.instance import prepare_instance
-from evplan.linear_grid import validate_linearization
 from evplan.loadflow import solve_load_flow
 from evplan.milp import SENSE_EQ, SENSE_GE, SENSE_LE
 from evplan.mps_io import export_mps, import_solution, parse_mps, write_solution_file
@@ -30,7 +29,7 @@ from evplan.solution import (
     solution_from_result,
     solve_plan,
 )
-from evplan.verify import verify_solution
+from evplan.verify import linearization_error, verify_solution
 
 from helpers import tiny_instance
 
@@ -173,16 +172,15 @@ def test_criterion_5_linearization_accuracy():
     for t in range(dem.horizon):
         p, q = dem.demand_at(net, t)
         sens = compute_sensitivities(net, solve_load_flow(net, p, q))
-        idx = [net.bus_index(b) for b in sens.node_ids]
-        bp = np.array([sens.point.p_kw[i] for i in idx])
-        bq = np.array([sens.point.q_kvar[i] for i in idx])
-        checks = validate_linearization(
-            net, sens,
-            [(np.zeros_like(bp), np.zeros_like(bq)), (0.2 * bp, 0.2 * bq), (-0.2 * bp, -0.2 * bq)],
-        )
-        assert all(c.converged for c in checks)
-        worst_zero = max(worst_zero, checks[0].max_voltage_error_pu)
-        worst = max(worst, checks[1].max_voltage_error_pu, checks[2].max_voltage_error_pu)
+        bp = sens.point.p_kw[net.node_bus]
+        bq = sens.point.q_kvar[net.node_bus]
+        checks = [
+            linearization_error(net, sens, scale * bp, scale * bq) for scale in (0.0, 0.2, -0.2)
+        ]
+        assert all(exact is not None for exact, _ in checks)
+        errors = [err["max_voltage_error_pu"] for _, err in checks]
+        worst_zero = max(worst_zero, errors[0])
+        worst = max(worst, errors[1], errors[2])
     ok = worst <= 5e-3 and worst_zero <= 1e-8
     assert announce(
         5,

@@ -24,6 +24,10 @@ def test_config_validation():
         SolverConfig(gap=-0.1)
     with pytest.raises(ParameterError):
         SolverConfig(node_limit=0)
+    for bad in ({"gap": np.nan}, {"abs_gap": np.inf}, {"time_limit_s": np.nan},
+                {"time_limit_s": np.inf}):
+        with pytest.raises(ParameterError):
+            SolverConfig(**bad)
 
 
 def test_pure_binary_knapsack():

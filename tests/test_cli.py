@@ -1,5 +1,6 @@
 import csv
 import json
+import shutil
 from dataclasses import replace
 from pathlib import Path
 
@@ -85,6 +86,61 @@ def test_build_writes_mps_and_sidecar(tiny_files, tmp_path):
         "fast_charge", "slow_charge", "fast_plug", "slow_plug",
         "fast_connect", "fast_disconnect", "slow_connect", "slow_disconnect")]
     assert len(binaries) == 8 * V * T
+
+
+def _edited(path, edit):
+    doc = json.loads(path.read_text())
+    edit(doc)
+    return json.dumps(doc)
+
+
+def _bad_first_cell(path):
+    header, first, *rest = path.read_text().splitlines()
+    node, _, *cells = first.split(",")
+    return "\n".join([header, ",".join([node, "abc", *cells]), *rest]) + "\n"
+
+
+# (input the file replaces, its text made from the good inputs in ``src``)
+MALFORMED = {
+    "config-not-json": ("config", lambda src: "{bad"),
+    "solution-without-columns": ("solutions", lambda src: '{"label": "spc-A"}'),
+    "solution-not-json": ("solutions", lambda src: "not json"),
+    "grid-without-lines": ("grid", lambda src: _edited(src / "grid.json", lambda d: d.pop("lines"))),
+    "fleet-short-stay-bounds": ("fleet", lambda src: _edited(
+        src / "fleet.json", lambda d: d["vehicles"][0].update(stay_bounds=[1, 2]))),
+    "fleet-text-soc": ("fleet", lambda src: _edited(
+        src / "fleet.json", lambda d: d["vehicles"][0].update(soc_min="x"))),
+    "demand-text-cell": ("demand", lambda src: _bad_first_cell(src / "demand.csv")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_file_exits_2(case, tiny_files, tmp_path, capsys):
+    src, _ = tiny_files
+    role, make = MALFORMED[case]
+    bad = tmp_path / ("bad.csv" if role == "demand" else "bad.json")
+    bad.write_text(make(src))
+    shutil.copy(src / "schedule.csv", tmp_path)  # a fleet file names its schedule relatively
+    files = {"grid": src / "grid.json", "demand": src / "demand.csv",
+             "fleet": src / "fleet.json", role: bad}
+    command = "report" if role == "solutions" else "build"
+    args = [x for key, path in files.items() for x in (f"--{key}", path)]
+    assert run_cli(command, *args, "--out", tmp_path / "out") == 2
+    assert f"error: {bad}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("solve", "--gap", "nan"),
+    ("solve", "--time-limit", "inf"),
+    ("solve", "--v-min", "nan"),
+    ("sweep", "--sweep", "nan"),
+])
+def test_non_finite_number_exits_2(command, flag, value, tiny_files, tmp_path, capsys):
+    src, _ = tiny_files
+    rc = run_cli(command, "--grid", src / "grid.json", "--demand", src / "demand.csv",
+                 "--fleet", src / "fleet.json", flag, value, "--out", tmp_path)
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_bad_scenario_tag_exits_2(tiny_files, tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from evplan.demand import dump_demand, load_demand, scale_profile
+from evplan.demand import dump_demand, load_demand
 from evplan.errors import ParameterError
 
 
@@ -53,10 +53,3 @@ def test_unknown_node_rejected(tmp_path, cigre_network):
     with pytest.raises(ParameterError):
         load_demand(path, cigre_network)
 
-
-def test_scale_profile_uses_rating_and_pf(cigre_network):
-    shape = np.array([0.5, 1.0])
-    prof = scale_profile(cigre_network, shape)
-    r = prof.row(3)
-    assert prof.p_kw[r, 1] == pytest.approx(285.0 * 0.97)
-    assert prof.p_kw[r, 0] == pytest.approx(0.5 * 285.0 * 0.97)

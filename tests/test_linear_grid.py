@@ -2,14 +2,10 @@ import numpy as np
 import pytest
 
 from evplan.errors import InfeasibleBasePointError, ParameterError
-from evplan.linear_grid import (
-    GridLimits,
-    apparent_power_box,
-    linear_grid_constraints,
-    validate_linearization,
-)
+from evplan.linear_grid import GridLimits, apparent_power_box, linear_grid_constraints
 from evplan.loadflow import solve_load_flow
 from evplan.sensitivity import compute_sensitivities
+from evplan.verify import linearization_error
 
 
 @pytest.fixture(scope="module")
@@ -36,6 +32,13 @@ def test_box_rejects_bad_parameters():
         apparent_power_box(-5.0, 0.9)
     with pytest.raises(ParameterError):
         apparent_power_box(5.0, 1.2)
+
+
+def test_limits_reject_non_finite_values():
+    GridLimits(0.97, 1.03)
+    for lo, hi in ((np.nan, 1.03), (0.97, np.nan), (0.97, np.inf), (-np.inf, 1.03)):
+        with pytest.raises(ParameterError):
+            GridLimits(lo, hi)
 
 
 def test_box_is_conservative_by_dense_sampling():
@@ -91,31 +94,25 @@ def test_infeasible_base_point_raises(cigre_network, sens18):
 
 def test_zero_increment_has_zero_error(cigre_network, sens18):
     m = len(sens18.node_ids)
-    checks = validate_linearization(cigre_network, sens18, [(np.zeros(m), np.zeros(m))])
-    assert checks[0].converged
-    assert checks[0].max_voltage_error_pu <= 1e-8
-    assert checks[0].slack_error_kva <= 1e-6
+    exact, err = linearization_error(cigre_network, sens18, np.zeros(m), np.zeros(m))
+    assert exact is not None
+    assert err["max_voltage_error_pu"] <= 1e-8
+    assert err["slack_error_kva"] <= 1e-6
 
 
 def test_ten_percent_increments_stay_accurate(cigre_network, sens18):
-    node_idx = [cigre_network.bus_index(b) for b in sens18.node_ids]
-    base_p = np.array([sens18.point.p_kw[i] for i in node_idx])
-    base_q = np.array([sens18.point.q_kvar[i] for i in node_idx])
-    checks = validate_linearization(
-        cigre_network,
-        sens18,
-        [(0.1 * base_p, 0.1 * base_q), (-0.1 * base_p, -0.1 * base_q)],
-    )
-    for c in checks:
-        assert c.converged
-        assert c.max_voltage_error_pu <= 5e-3
+    base_p = sens18.point.p_kw[cigre_network.node_bus]
+    base_q = sens18.point.q_kvar[cigre_network.node_bus]
+    for sign in (0.1, -0.1):
+        exact, err = linearization_error(cigre_network, sens18, sign * base_p, sign * base_q)
+        assert exact is not None
+        assert err["max_voltage_error_pu"] <= 5e-3
 
 
 def test_divergent_scenario_is_flagged(cigre_network, sens18):
     m = len(sens18.node_ids)
     huge = np.full(m, 1e7)
-    checks = validate_linearization(
-        cigre_network, sens18, [(np.zeros(m), np.zeros(m)), (huge, huge)]
-    )
-    assert checks[0].converged
-    assert not checks[1].converged
+    exact, _ = linearization_error(cigre_network, sens18, np.zeros(m), np.zeros(m))
+    assert exact is not None
+    exact, err = linearization_error(cigre_network, sens18, huge, huge)
+    assert exact is None and err == {}

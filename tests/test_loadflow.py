@@ -9,7 +9,7 @@ from helpers import two_bus_exact_voltage, two_bus_network
 
 def test_no_load_is_flat_without_shunts():
     net = two_bus_network()
-    op = solve_load_flow(net, {1: 0.0}, {1: 0.0})
+    op = solve_load_flow(net, np.zeros(2), np.zeros(2))
     assert op.voltage_pu[1] == pytest.approx(net.slack_voltage_pu, abs=1e-9)
     assert op.current_a[0] == pytest.approx(0.0, abs=1e-6)
     assert op.slack_kva == pytest.approx(0.0, abs=1e-3)
@@ -18,7 +18,7 @@ def test_no_load_is_flat_without_shunts():
 def test_no_load_cigre_nearly_flat(cigre_network):
     # Cable capacitance lifts the open feeder slightly; the state must stay
     # within a fraction of a percent of the slack setpoint.
-    zeros = {n: 0.0 for n in cigre_network.node_ids}
+    zeros = np.zeros(cigre_network.n_buses)
     op = solve_load_flow(cigre_network, zeros, zeros)
     assert np.all(np.abs(op.voltage_pu - cigre_network.slack_voltage_pu) < 5e-3)
     assert np.all(op.current_a < 20.0)
@@ -27,7 +27,7 @@ def test_no_load_cigre_nearly_flat(cigre_network):
 def test_two_bus_matches_closed_form():
     net = two_bus_network()
     for p, q in ((50.0, 10.0), (200.0, 80.0), (400.0, 150.0)):
-        op = solve_load_flow(net, {1: p}, {1: q})
+        op = solve_load_flow(net, np.array([0.0, p]), np.array([0.0, q]))
         exact = two_bus_exact_voltage(net, p, q)
         assert op.voltage_pu[1] == pytest.approx(exact, abs=1e-8)
 
@@ -44,7 +44,12 @@ def test_two_bus_beyond_maximum_transfer_diverges():
             break
         p *= 1.5
     with pytest.raises(LoadFlowDivergenceError):
-        solve_load_flow(net, {1: p}, {1: 0.0})
+        solve_load_flow(net, np.array([0.0, p]), np.zeros(2))
+
+
+def test_demand_must_cover_every_bus(cigre_network):
+    with pytest.raises(ValueError):
+        solve_load_flow(cigre_network, np.zeros(3), np.zeros(cigre_network.n_buses))
 
 
 def test_mismatch_below_tolerance(cigre_network, cigre_demand):

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+from evplan import data_path
 from evplan.errors import ParameterError, SingularLineError, TopologyError
-from evplan.network import Bus, BusNetwork, Line, build_admittance
+from evplan.fleet import generate_commute_fleet
+from evplan.instance import prepare_instance
+from evplan.network import Bus, BusNetwork, Line, load_network
 
 from helpers import two_bus_network
 
@@ -18,7 +21,7 @@ def test_single_line_admittance_forced_arithmetic():
         base_kva=1000.0,
         base_kv=1.0,
     )
-    y = build_admittance(net)
+    y = net.admittance
     assert y.shape == (2, 2)
     assert y[0, 1] == pytest.approx(-(20 - 40j))
     assert y[1, 0] == pytest.approx(-(20 - 40j))
@@ -41,7 +44,7 @@ def test_isolated_bus_is_topology_error():
 def test_zero_impedance_line_is_singular():
     net = two_bus_network(r_ohm=0.0, x_ohm=0.0)
     with pytest.raises(SingularLineError):
-        build_admittance(net)
+        net.admittance
 
 
 def test_cigre_zero_pattern_matches_hand_built_adjacency(cigre_network):
@@ -52,7 +55,7 @@ def test_cigre_zero_pattern_matches_hand_built_adjacency(cigre_network):
         (7, 8), (8, 9), (9, 10), (10, 11), (3, 8),
         (12, 13), (13, 14),
     }
-    y = build_admittance(cigre_network)
+    y = cigre_network.admittance
     n = cigre_network.n_buses
     seen = set()
     for i in range(n):
@@ -63,6 +66,29 @@ def test_cigre_zero_pattern_matches_hand_built_adjacency(cigre_network):
                 seen.add((min(a, b), max(a, b)))
     assert seen == expected_edges
     assert np.allclose(y, y.T)
+
+
+def test_grid_matrices_are_read_only(cigre_network):
+    with pytest.raises(ValueError):
+        cigre_network.admittance[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        cigre_network.line_currents[0, 0] = 0.0
+
+
+def test_prepare_instance_builds_the_grid_matrices_once(cigre_demand, monkeypatch):
+    builds = []
+    real = BusNetwork._build_matrices
+
+    def counting(self):
+        builds.append(1)
+        return real(self)
+
+    monkeypatch.setattr(BusNetwork, "_build_matrices", counting)
+    net = load_network(data_path("cigre_mv_14bus.json"))
+    schedule, vehicles = generate_commute_fleet(net.cluster_nodes(1), net.cluster_nodes(2), 2, seed=1)
+    inst = prepare_instance(net, cigre_demand, schedule, vehicles)
+    assert len(inst.linearizations) == 24
+    assert len(builds) == 1
 
 
 def _net_with(bus: Bus) -> BusNetwork:

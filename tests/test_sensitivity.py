@@ -28,7 +28,7 @@ def cigre_sens(cigre_network, cigre_point):
 def test_two_bus_matches_analytic_derivative():
     net = two_bus_network()
     p, q = 200.0, 60.0
-    point = solve_load_flow(net, {1: p}, {1: q})
+    point = solve_load_flow(net, np.array([0.0, p]), np.array([0.0, q]))
     sens = compute_sensitivities(net, point)
     analytic = two_bus_exact_dv_dp(net, p, q)
     assert sens.dv_dp[1, 0] == pytest.approx(analytic, abs=1e-6)

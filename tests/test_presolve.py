@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 from scipy.optimize import LinearConstraint, milp
 
+from evplan.builder import build_plan_model
+from evplan.fleet import generate_commute_fleet
+from evplan.instance import prepare_instance
 from evplan.milp import BINARY, CONTINUOUS, MilpModel
 from evplan.presolve import presolve
 from evplan.simplex import solve_lp
@@ -125,3 +128,26 @@ def test_random_milp_presolve_preserves_optimum(trial):
         assert mine.status == "optimal"
         assert mine.objective == pytest.approx(ref.fun, abs=1e-6)
         assert not m.check_point(mine.x, tol=1e-6)
+
+
+# Presolved (rows, columns, nonzeros) of the desk model: bundled grid,
+# 17 commuting vehicles, seed 42.
+DESK_PRESOLVED = {
+    ("spc", "A"): (1484, 427, 9979),
+    ("spc", "B"): (2034, 1155, 11435),
+    ("mpc", "A"): (1571, 435, 10358),
+    ("mpc", "B"): (2121, 1163, 11814),
+}
+
+
+def test_desk_model_presolved_size_is_pinned(cigre_network, cigre_demand):
+    sched, vehicles = generate_commute_fleet(
+        cigre_network.cluster_nodes(1), cigre_network.cluster_nodes(2), 17, seed=42
+    )
+    got = {}
+    for chargers, scenario in DESK_PRESOLVED:
+        inst = prepare_instance(cigre_network, cigre_demand, sched, vehicles,
+                                scenario=scenario, chargers=chargers)
+        red = presolve(build_plan_model(inst)).reduced
+        got[(chargers, scenario)] = (red.n_rows, red.n_cols, red.A.nnz)
+    assert got == DESK_PRESOLVED

@@ -141,6 +141,29 @@ def _arg(args, cfg, key, default=None):
     return cfg.get(key, default)
 
 
+def _number(args, cfg, key, kind, default=None):
+    """``_arg`` for a numeric setting, as ``kind`` (int or float). A config
+    value must be a JSON number, and a whole one for an int setting; any
+    other value is a ParameterError that names the config file."""
+    val = _arg(args, cfg, key, default)
+    if val is None:
+        return None
+    with malformed_input(args.config):
+        if isinstance(val, bool) or not isinstance(val, (int, float)):
+            raise TypeError(f"{key} must be a number, not {val!r}")
+        if kind is int and not float(val).is_integer():
+            raise ValueError(f"{key} must be a whole number, not {val!r}")
+        return kind(val)
+
+
+def _solver_config(args, cfg) -> SolverConfig:
+    return SolverConfig(
+        gap=_number(args, cfg, "gap", float, 0.10),
+        node_limit=_number(args, cfg, "node-limit", int),
+        time_limit_s=_number(args, cfg, "time-limit", float),
+    )
+
+
 def _resolve_inputs(args, cfg, need_fleet=True):
     grid = _arg(args, cfg, "grid") or data_path("cigre_mv_14bus.json")
     demand = _arg(args, cfg, "demand") or data_path("demand_24h.csv")
@@ -175,8 +198,8 @@ def _instance_from(args, cfg):
         scenario=_arg(args, cfg, "scenario", "A"),
         chargers=_arg(args, cfg, "chargers", "spc"),
         limits=GridLimits(
-            v_min_pu=float(_arg(args, cfg, "v-min", 0.97)),
-            v_max_pu=float(_arg(args, cfg, "v-max", 1.03)),
+            v_min_pu=_number(args, cfg, "v-min", float, 0.97),
+            v_max_pu=_number(args, cfg, "v-max", float, 1.03),
         ),
         mpc_slow_literal=bool(_arg(args, cfg, "mpc-slow-literal", False)),
     )
@@ -192,9 +215,9 @@ def cmd_generate(args) -> int:
         print("error: grid defines no EV clusters", file=sys.stderr)
         return EXIT_USAGE
     schedule, vehicles = generate_commute_fleet(
-        homes, work, int(_arg(args, cfg, "vehicles", 1000)),
-        seed=int(_arg(args, cfg, "seed", 42)),
-        daily_energy_kwh=float(_arg(args, cfg, "daily-kwh", 4.8)),
+        homes, work, _number(args, cfg, "vehicles", int, 1000),
+        seed=_number(args, cfg, "seed", int, 42),
+        daily_energy_kwh=_number(args, cfg, "daily-kwh", float, 4.8),
     )
     out = Path(_arg(args, cfg, "out", "."))
     out.mkdir(parents=True, exist_ok=True)
@@ -275,12 +298,7 @@ def cmd_solve(args) -> int:
     else:
         if args.verbose:
             logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(message)s")
-        config = SolverConfig(
-            gap=float(_arg(args, cfg, "gap", 0.10)),
-            node_limit=_arg(args, cfg, "node-limit"),
-            time_limit_s=_arg(args, cfg, "time-limit"),
-        )
-        solution = solve_plan(instance, config, model=model)
+        solution = solve_plan(instance, _solver_config(args, cfg), model=model)
         x = (
             assignment_to_columns(model, instance, solution.assignment)
             if solution.feasible
@@ -342,7 +360,7 @@ def cmd_report(args) -> int:
     for path, doc in zip(args.solutions, docs):
         with malformed_input(path):
             cases.append(_case_from_payload(doc, base))
-    report = build_report(cases, gap=float(_arg(args, cfg, "gap", 0.10)))
+    report = build_report(cases, gap=_number(args, cfg, "gap", float, 0.10))
     out = Path(_arg(args, cfg, "out", "."))
     out.mkdir(parents=True, exist_ok=True)
     write_csv(out / "charger_table.csv", report.charger_rows)
@@ -369,12 +387,7 @@ def cmd_sweep(args) -> int:
         print("error: empty sweep list", file=sys.stderr)
         return EXIT_USAGE
     instance = _instance_from(args, cfg)
-    config = SolverConfig(
-        gap=float(_arg(args, cfg, "gap", 0.10)),
-        node_limit=_arg(args, cfg, "node-limit"),
-        time_limit_s=_arg(args, cfg, "time-limit"),
-    )
-    rows = demand_sweep(instance, multipliers, config)
+    rows = demand_sweep(instance, multipliers, _solver_config(args, cfg))
     out = Path(_arg(args, cfg, "out", "."))
     out.mkdir(parents=True, exist_ok=True)
     write_csv(out / "sweep.csv", rows)

@@ -1,20 +1,25 @@
-"""MILP presolve: bound propagation, forcing rows, column merging.
+"""MILP presolve: bound propagation from row activities, column merging.
 
 The commute structure makes large parts of the plan model mechanical: every
 driving interval forces its plug/charge binaries to zero, the stiff-driver
 rules collapse plug states to one value per parking block, and the
-single-port tie rows identify plug counts with charger counts. The passes
-below discover all of that generically:
+single-port tie rows identify plug counts with charger counts. Each pass
+below discovers all of that generically:
 
- * singleton rows tighten variable bounds (integer bounds get rounded),
- * rows whose minimum activity already meets the rhs force variables,
+ * fixed columns are substituted into the right-hand sides,
+ * one propagation sweep tightens every column to the slack its rows'
+   other columns leave (integer bounds get rounded); a one-column row is
+   the plain case of this and a forcing row (activity already at the rhs)
+   the extreme one, and rows that every bound satisfies are dropped,
  * two-column rows ``a x - a y (=|>=|<=) 0`` yield merges or implications
    (a pair of opposite implications is also a merge),
  * zero-cost columns appearing in a single row are removed when the row is
    satisfiable for any value of the remaining variables,
  * empty columns move to their cheapest bound.
 
-Postsolve replays the recorded transforms to recover a full assignment.
+A merged or removed column is retired by emptying its member list; the
+merge target or the removal record carries its original columns. Postsolve
+replays the recorded transforms to recover a full assignment.
 """
 
 from __future__ import annotations
@@ -79,7 +84,7 @@ class PresolveResult:
                     x[col] = x_reduced[k]
         # Reverse order: a removed column may feed a row referenced by an
         # earlier removal.
-        for col, a, sense, rhs, others, lo, hi, integral in reversed(self.singletons):
+        for cols, a, sense, rhs, others, lo, hi, integral in reversed(self.singletons):
             residual = rhs - sum(ak * x[ck] for ck, ak in others)
             if sense == SENSE_EQ:
                 val = residual / a
@@ -89,7 +94,7 @@ class PresolveResult:
                 val = min(hi, residual / a)
             if integral:
                 val = _integral(round, val)
-            x[col] = min(max(val, lo), hi)
+            x[cols] = min(max(val, lo), hi)
         return x
 
 
@@ -152,9 +157,7 @@ class _Working:
 
     # -- helpers ---------------------------------------------------------
 
-    def _fix(self, col, val) -> bool:
-        if col in self.fixed:
-            return False
+    def _fix(self, col, val):
         lo, hi = self.lb[col], self.ub[col]
         val = min(max(val, lo), hi)
         if self.is_int[col]:
@@ -162,7 +165,6 @@ class _Working:
         self.fixed[col] = val
         self.obj_offset += self.obj[col] * val
         self.lb[col] = self.ub[col] = val
-        return True
 
     def _col_usage(self):
         usage: dict[int, list[int]] = {}
@@ -204,19 +206,11 @@ class _Working:
     # -- one full pass -----------------------------------------------------
 
     def one_pass(self) -> bool:
-        changed = False
-        changed |= self._substitute_fixed()
-        if self.infeasible:
-            return True
-        changed |= self._row_reductions()
-        if self.infeasible:
-            return True
-        changed |= self._bound_tighten()
+        changed = self._substitute_fixed()
+        changed |= self._propagate()
         if self.infeasible:
             return True
         changed |= self._substitute_fixed()
-        if self.infeasible:
-            return True
         changed |= self._merge_doubletons()
         changed |= self._drop_inert_singletons()
         changed |= self._fix_empty_columns()
@@ -232,128 +226,62 @@ class _Working:
             for c in hit:
                 self.rhs[r] -= row.pop(c) * lb[c]
                 changed = True
-        # Columns not yet recorded as fixed (e.g. bounds collapsed by
+        # Live columns not yet recorded as fixed (e.g. bounds collapsed by
         # tightening) get a fix record now.
         for c in range(len(self.lb)):
-            if self.lb[c] == self.ub[c] and c not in self.fixed:
+            if self.lb[c] == self.ub[c] and c not in self.fixed and self.members[c]:
                 self._fix(c, self.lb[c])
                 changed = True
         return changed
 
-    def _row_reductions(self) -> bool:
+    def _propagate(self) -> bool:
+        """Bound tightening from row activities, one sweep over the live rows.
+
+        Each variable must fit in the slack the other variables leave at
+        their loosest: the upper side of a <= or = row, the lower side of a
+        >= or = row. A one-column row is a plain bound on its column and is
+        dropped once applied; a forcing row (activity already at the rhs)
+        pins every column to its extreme. This is also what eliminates
+        equipment choices whose single use already overshoots a battery
+        (one fast-charger hour on a small pack).
+        """
         changed = False
+        lb, ub = self.lb, self.ub
         for r, row in enumerate(self.rows):
             if row is None:
                 continue
             sense, b = self.senses[r], self.rhs[r]
-            if len(row) == 0:
-                ok = (
-                    (sense == SENSE_LE and 0 <= b + FEAS_TOL)
-                    or (sense == SENSE_GE and 0 >= b - FEAS_TOL)
-                    or (sense == SENSE_EQ and abs(b) <= FEAS_TOL)
-                )
-                if not ok:
-                    self.infeasible = True
-                    return True
-                self.rows[r] = None
+            lo, hi = self._min_max_activity(row)
+            upper, lower = sense != SENSE_GE, sense != SENSE_LE
+            if (upper and lo > b + FEAS_TOL) or (lower and hi < b - FEAS_TOL):
+                self.infeasible = True
+                return True
+            if (not upper or hi <= b + FEAS_TOL) and (not lower or lo >= b - FEAS_TOL):
+                self.rows[r] = None  # every bound satisfies it
                 changed = True
                 continue
-            if len(row) == 1:
-                (c, a), = row.items()
-                if sense in (SENSE_LE, SENSE_EQ):
+            # The activities stay as computed above while the row's columns
+            # move; each column's own term is read afresh.
+            single = len(row) == 1
+            if upper and (single or isfinite(lo)):
+                for c, a in row.items():
+                    rest = 0.0 if single else lo - (a * lb[c] if a > 0 else a * ub[c])
                     if a > 0:
-                        self._tighten(c, hi=b / a)
+                        changed |= self._tighten(c, hi=(b - rest) / a)
                     else:
-                        self._tighten(c, lo=b / a)
-                if sense in (SENSE_GE, SENSE_EQ):
+                        changed |= self._tighten(c, lo=(b - rest) / a)
+            if lower and (single or isfinite(hi)):
+                for c, a in row.items():
+                    rest = 0.0 if single else hi - (a * ub[c] if a > 0 else a * lb[c])
                     if a > 0:
-                        self._tighten(c, lo=b / a)
+                        changed |= self._tighten(c, lo=(b - rest) / a)
                     else:
-                        self._tighten(c, hi=b / a)
-                if self.infeasible:
-                    return True
+                        changed |= self._tighten(c, hi=(b - rest) / a)
+            if self.infeasible:
+                return True
+            if single:
                 self.rows[r] = None
                 changed = True
-                continue
-            lo, hi = self._min_max_activity(row)
-            if sense == SENSE_LE:
-                if lo > b + FEAS_TOL:
-                    self.infeasible = True
-                    return True
-                if hi <= b + FEAS_TOL:
-                    self.rows[r] = None  # redundant
-                    changed = True
-                elif abs(lo - b) <= FEAS_TOL and isfinite(lo):
-                    changed |= self._force_row_to_min(row)
-                    self.rows[r] = None
-            elif sense == SENSE_GE:
-                if hi < b - FEAS_TOL:
-                    self.infeasible = True
-                    return True
-                if lo >= b - FEAS_TOL:
-                    self.rows[r] = None
-                    changed = True
-                elif abs(hi - b) <= FEAS_TOL and isfinite(hi):
-                    changed |= self._force_row_to_max(row)
-                    self.rows[r] = None
-            else:
-                if lo > b + FEAS_TOL or hi < b - FEAS_TOL:
-                    self.infeasible = True
-                    return True
-                if abs(lo - b) <= FEAS_TOL and isfinite(lo):
-                    changed |= self._force_row_to_min(row)
-                    self.rows[r] = None
-                elif abs(hi - b) <= FEAS_TOL and isfinite(hi):
-                    changed |= self._force_row_to_max(row)
-                    self.rows[r] = None
-        return changed
-
-    def _bound_tighten(self) -> bool:
-        """Implied variable bounds from row activities.
-
-        For a <= row, each variable must fit in the slack the other
-        variables leave at their loosest; likewise for >= rows. This is
-        what eliminates equipment choices whose single use already
-        overshoots a battery (one fast-charger hour on a small pack).
-        """
-        changed = False
-        for r, row in enumerate(self.rows):
-            if row is None or len(row) < 2:
-                continue
-            sense, b = self.senses[r], self.rhs[r]
-            lo, hi = self._min_max_activity(row)
-            if sense in (SENSE_LE, SENSE_EQ) and isfinite(lo):
-                for c, a in row.items():
-                    cmin = a * self.lb[c] if a > 0 else a * self.ub[c]
-                    others = lo - cmin
-                    if a > 0:
-                        changed |= self._tighten(c, hi=(b - others) / a)
-                    else:
-                        changed |= self._tighten(c, lo=(b - others) / a)
-                    if self.infeasible:
-                        return True
-            if sense in (SENSE_GE, SENSE_EQ) and isfinite(hi):
-                for c, a in row.items():
-                    cmax = a * self.ub[c] if a > 0 else a * self.lb[c]
-                    others = hi - cmax
-                    if a > 0:
-                        changed |= self._tighten(c, lo=(b - others) / a)
-                    else:
-                        changed |= self._tighten(c, hi=(b - others) / a)
-                    if self.infeasible:
-                        return True
-        return changed
-
-    def _force_row_to_min(self, row) -> bool:
-        changed = False
-        for c, a in row.items():
-            changed |= self._fix(c, self.lb[c] if a > 0 else self.ub[c])
-        return changed
-
-    def _force_row_to_max(self, row) -> bool:
-        changed = False
-        for c, a in row.items():
-            changed |= self._fix(c, self.ub[c] if a > 0 else self.lb[c])
         return changed
 
     def _merge_doubletons(self) -> bool:
@@ -420,7 +348,6 @@ class _Working:
                 self.members[keep].extend(self.members[c])
                 self.members[c] = []
                 self.obj[keep] += self.obj[c]
-                self.obj[c] = 0.0
                 self.is_int[keep] = self.is_int[keep] or self.is_int[c]
                 lo = max(self.lb[keep], self.lb[c])
                 hi = min(self.ub[keep], self.ub[c])
@@ -428,8 +355,6 @@ class _Working:
                     self.infeasible = True
                     return True
                 self.lb[keep], self.ub[keep] = lo, hi
-                self.lb[c], self.ub[c] = 0.0, 0.0  # retired column
-                self.fixed.setdefault(c, None)  # marker: handled via members
         for row in self.rows:
             if row is None:
                 continue
@@ -482,7 +407,7 @@ class _Working:
             rep_others = [(self.members[k][0], v) for k, v in others.items()]
             self.singles.append(
                 (
-                    self.members[c][0],
+                    self.members[c],
                     a,
                     sense,
                     b,
@@ -493,8 +418,7 @@ class _Working:
                 )
             )
             self.rows[r] = None
-            self.lb[c] = self.ub[c] = 0.0
-            self.fixed.setdefault(c, None)
+            self.members[c] = []  # retired: postsolve sets it from the record
             changed = True
         return changed
 
@@ -510,7 +434,8 @@ class _Working:
                 target = self.ub[c]
             if not isfinite(target):
                 target = 0.0
-            changed |= self._fix(c, target)
+            self._fix(c, target)
+            changed = True
         return changed
 
     # -- output -------------------------------------------------------------
@@ -553,10 +478,5 @@ class _Working:
             obj_offset=self.obj_offset,
             members=[list(self.members[c]) for c in alive],
         )
-        fixed_out = {}
-        for c, v in self.fixed.items():
-            if v is None:
-                continue  # merged/removed columns recover via members/singles
-            for orig in self.members[c] or [c]:
-                fixed_out[orig] = v
+        fixed_out = {orig: v for c, v in self.fixed.items() for orig in self.members[c]}
         return reduced, fixed_out, list(self.singles)

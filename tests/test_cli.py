@@ -143,6 +143,25 @@ def test_non_finite_number_exits_2(command, flag, value, tiny_files, tmp_path, c
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("command, config", [
+    ("solve", {"time-limit": "10"}),
+    ("solve", {"node-limit": "5"}),
+    ("solve", {"node-limit": 2.5}),
+    ("solve", {"gap": "abc"}),
+    ("solve", {"v-min": "x"}),
+    ("sweep", {"node-limit": "3"}),
+    ("generate", {"vehicles": "x"}),
+])
+def test_config_number_of_wrong_type_exits_2(command, config, tiny_files, tmp_path, capsys):
+    src, _ = tiny_files
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    inputs = [] if command == "generate" else [
+        "--grid", src / "grid.json", "--demand", src / "demand.csv", "--fleet", src / "fleet.json"]
+    assert run_cli(command, "--config", cfg, *inputs, "--out", tmp_path / "out") == 2
+    assert f"error: {cfg}" in capsys.readouterr().err
+
+
 def test_bad_scenario_tag_exits_2(tiny_files, tmp_path):
     src, _ = tiny_files
     with pytest.raises(SystemExit) as err:

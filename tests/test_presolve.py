@@ -87,6 +87,24 @@ def test_inert_singleton_round_trip():
     assert x[c] >= x[a]
 
 
+def test_inert_singleton_keeps_its_merged_columns_equal():
+    # a and b merge; the merged column then sits alone in "cover" at zero
+    # cost and is dropped. Postsolve must set both members.
+    m = MilpModel()
+    a = m.add_column("a", BINARY, 0, 1)
+    b = m.add_column("b", BINARY, 0, 1)
+    d = m.add_column("d", BINARY, 0, 1, obj=1.0)
+    m.add_row("tie", [(a, 1.0), (b, -1.0)], "E", 0.0)
+    m.add_row("cover", [(a, 1.0), (d, 1.0)], "G", 1.0)
+    m.freeze()
+    from evplan.bnb import SolverConfig, solve_bnb
+
+    res = solve_bnb(m, SolverConfig(gap=0.0))
+    assert res.status == "optimal" and res.objective == 0.0
+    assert m.check_point(res.x) == []
+    assert res.x[a] == res.x[b] == 1.0
+
+
 def test_infeasible_detected():
     m = MilpModel()
     a = m.add_column("a", BINARY, 0, 1)
@@ -95,16 +113,28 @@ def test_infeasible_detected():
     assert presolve(m).status == "infeasible"
 
 
-@pytest.mark.parametrize("trial", range(20))
+@pytest.mark.parametrize("trial", range(40))
 def test_random_milp_presolve_preserves_optimum(trial):
     rng = np.random.default_rng(4000 + trial)
     nn = int(rng.integers(4, 10))
     mm = int(rng.integers(3, 8))
-    A = (rng.integers(-2, 3, size=(mm, nn))).astype(float)
+    A = np.where(rng.random((mm, nn)) < 0.6, rng.integers(-2, 3, size=(mm, nn)), 0).astype(float)
     x0 = rng.integers(0, 2, size=nn).astype(float)
-    senses = rng.choice(["L", "G"], size=mm)
-    b = A @ x0 + np.where(senses == "L", rng.integers(0, 3, mm), -rng.integers(0, 3, mm))
-    c = rng.integers(-5, 6, size=nn).astype(float)
+    senses = rng.choice(["L", "G", "E"], size=mm)
+    slack = rng.integers(0, 3, mm)
+    b = A @ x0 + np.select([senses == "L", senses == "G"], [slack, -slack], 0)
+    # Some rows tie two columns, a x - a y (=|<=|>=) 0, in a sense x0 meets:
+    # the shape that presolve merges, turns into implications or drops.
+    # Pairs come from the first three columns, so that they repeat.
+    for i in np.flatnonzero(rng.random(mm) < 0.5):
+        p, q = rng.choice(3, size=2, replace=False)
+        A[i] = 0.0
+        A[i, p] = rng.integers(1, 3)
+        A[i, q] = -A[i, p]
+        met = ["E", "L", "G"] if x0[p] == x0[q] else ["G" if x0[p] > x0[q] else "L"]
+        senses[i], b[i] = rng.choice(met), 0.0
+    # A third of the columns cost nothing: candidates for removal.
+    c = np.where(rng.random(nn) < 1 / 3, 0, rng.integers(-5, 6, size=nn)).astype(float)
     m = MilpModel()
     for j in range(nn):
         m.add_column(f"x{j}", BINARY, 0, 1, obj=c[j])
@@ -115,7 +145,7 @@ def test_random_milp_presolve_preserves_optimum(trial):
     # Reference optimum over the raw model.
     constraints = []
     lb = np.where(senses == "L", -np.inf, b)
-    ub = np.where(senses == "L", b, np.inf)
+    ub = np.where(senses == "G", np.inf, b)
     constraints.append(LinearConstraint(A, lb, ub))
     ref = milp(c, constraints=constraints, integrality=np.ones(nn), bounds=(0, 1))
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 import heapq
 import logging
 import time
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +34,6 @@ KEY_TIE = 1e-9
 PLUNGE_CAP = 20000
 PLUNGE_BACKTRACKS = 400
 PLUNGE_BACKTRACKS_INCUMBENT = 48
-BASIS_CACHE = 4096
 LOG_INTERVAL_S = 10.0  # seconds between progress records at INFO
 
 log = logging.getLogger(__name__)
@@ -85,7 +83,7 @@ class _Node:
 
     __slots__ = (
         "id", "key", "parent", "branch_col", "branch_lo", "branch_hi",
-        "fix_cols", "fix_vals", "fix_from", "basis", "frac_col", "frac_val", "evaluated",
+        "fix_cols", "fix_vals", "fix_from", "frac_col", "frac_val", "evaluated",
     )
 
     def __init__(self, id, key, parent, branch_col=-1, branch_lo=0.0, branch_hi=1.0,
@@ -99,7 +97,6 @@ class _Node:
         self.fix_cols = fix_cols
         self.fix_vals = fix_vals
         self.fix_from = fix_from
-        self.basis = None
         self.frac_col = -1
         self.frac_val = 0.0
         self.evaluated = False
@@ -178,6 +175,11 @@ class _Search:
         self.started = time.monotonic()
         self.size = (model.n_rows, model.n_cols, model.A.nnz)
         self.presolved_size = None
+        self.incumbent_x = None
+        self.incumbent_obj = np.inf
+        self.best_bound = -np.inf
+        self.nodes_done = 0
+        self.lp_iters = 0
         self.pre = presolve(model)
         self.infeasible = self.pre.status == "infeasible"
         if self.infeasible:
@@ -187,14 +189,8 @@ class _Search:
         self.presolved_size = (red.n_rows, red.n_cols, red.A.nnz)
         self.engine = BoundedSimplex(red.A, red.rhs, red.senses, red.obj)
         self.int_cols = np.flatnonzero(red.is_int)
-        self.incumbent_x = None
-        self.incumbent_obj = np.inf
-        self.best_bound = -np.inf
-        self.nodes_done = 0
-        self.lp_iters = 0
         self.next_id = 0
         self.heap: list[tuple[float, _Node]] = []
-        self.basis_cache: deque[_Node] = deque()
         self.log_progress = log.isEnabledFor(logging.INFO)
         self.last_log = self.started
         self.eval_counts = {"fractional": 0, "infeasible": 0, "integral": 0}
@@ -207,32 +203,18 @@ class _Search:
     def elapsed(self) -> float:
         return time.monotonic() - self.started
 
-    def out_of_budget(self) -> bool:
+    def out_of_budget(self) -> str | None:
+        """The limit the search has reached, if any."""
         cfg = self.config
         if cfg.node_limit is not None and self.nodes_done >= cfg.node_limit:
-            return True
+            return "node limit"
         if cfg.time_limit_s is not None and self.elapsed() > cfg.time_limit_s:
-            return True
-        return False
-
-    def _store_basis(self, node: _Node, basis):
-        node.basis = basis
-        if node.id == 0:
-            return  # the root basis is pinned: it warms far-apart siblings
-        self.basis_cache.append(node)
-        while len(self.basis_cache) > BASIS_CACHE:
-            old = self.basis_cache.popleft()
-            old.basis = None
-
-    def _warm_for(self, node: _Node):
-        anc = node.parent
-        while anc is not None and anc.basis is None:
-            anc = anc.parent
-        return None if anc is None else anc.basis
+            return "time limit"
+        return None
 
     def evaluate(self, node: _Node):
         lb, ub = node.bounds(self.red.lb, self.red.ub)
-        res = self.engine.solve(lb, ub, warm_basis=self._warm_for(node))
+        res = self.engine.solve(lb, ub)
         self.lp_iters += res.iterations
         self.nodes_done += 1
         node.evaluated = True
@@ -245,7 +227,6 @@ class _Search:
         self._last_d = res.reduced_costs  # valid only while node is current
         self._last_d_node = node.id
         self._last_bounds = lb, ub
-        self._store_basis(node, res.basis)
         col = self._fractional_col(res.x)
         if col < 0:
             self.eval_counts["integral"] += 1
@@ -413,27 +394,41 @@ class _Search:
     # -- main loop ------------------------------------------------------------
 
     def run(self) -> MilpSolveResult:
+        stop = self._search()
+        result = self._finish(stop)
+        inc = "-" if self.incumbent_x is None else f"{self.incumbent_obj:.1f}"
+        log.info(
+            "[bnb] stop=%s nodes=%d lp_iterations=%d bound=%.1f incumbent=%s",
+            stop, self.nodes_done, self.lp_iters, self.best_bound, inc,
+        )
+        return result
+
+    def _search(self) -> str:
+        """Run the search; returns why it stopped: gap reached, node limit,
+        time limit, tree exhausted or infeasible."""
         if self.infeasible:
-            return self._result("infeasible")
+            return "infeasible"
 
         root = _Node(self.next_id, -np.inf, None)
         self.next_id += 1
         status, _x = self.evaluate(root)
         if status == "infeasible":
-            return self._finish(limited=False)
+            return "infeasible"
         self.best_bound = root.key
         if status == "integral":
             self.best_bound = self.incumbent_obj
-            return self._finish(limited=False)
+            return "tree exhausted"
         self._plunge(root)
 
-        limited = False
+        stop = "tree exhausted"
         while self.heap:
             self.best_bound = max(self.best_bound, self.heap[0][0])
             if self._gap_reached():
+                stop = "gap reached"
                 break
-            if self.out_of_budget():
-                limited = True
+            limit = self.out_of_budget()
+            if limit:
+                stop = limit
                 break
             self._log()
             key, node = heapq.heappop(self.heap)
@@ -450,17 +445,18 @@ class _Search:
                     continue
             self._plunge(node)
 
-        if not self.heap and not limited and self.incumbent_x is not None:
-            self.best_bound = self.incumbent_obj
-        if self.incumbent_x is not None:
-            # Open nodes above the incumbent cannot hold anything better, so
-            # the proven bound never exceeds the incumbent value.
-            self.best_bound = min(self.best_bound, self.incumbent_obj)
-        return self._finish(limited)
-
-    def _finish(self, limited: bool) -> MilpSolveResult:
         if self.incumbent_x is None:
-            status = "limit" if limited else "infeasible"
+            return "infeasible" if stop == "tree exhausted" else stop
+        if stop == "tree exhausted":
+            self.best_bound = self.incumbent_obj
+        # Open nodes above the incumbent cannot hold anything better, so the
+        # proven bound never exceeds the incumbent value.
+        self.best_bound = min(self.best_bound, self.incumbent_obj)
+        return stop
+
+    def _finish(self, stop: str) -> MilpSolveResult:
+        if self.incumbent_x is None:
+            status = "limit" if stop in ("node limit", "time limit") else "infeasible"
             return self._result(
                 status, bound=self.best_bound, nodes=self.nodes_done, lp_iterations=self.lp_iters
             )

@@ -200,6 +200,8 @@ def generate_commute_fleet(
         raise ParameterError("both node clusters must be non-empty")
     if daily_energy_kwh <= 0:
         raise ParameterError("daily energy demand must be positive")
+    if seed < 0:
+        raise ParameterError("seed must be a non-negative integer")
     rng = np.random.default_rng(seed)
     node_ids = tuple(sorted(set(home_nodes) | set(work_nodes)))
     col = {n: i for i, n in enumerate(node_ids)}

@@ -1,13 +1,30 @@
-"""Bounded-variable revised primal simplex.
+"""Bounded-variable revised dual simplex.
 
 Solves   min c'x  s.t.  A x (<=|=|>=) b,  l <= x <= u.
 
 Rows are turned into equalities with one slack each (bounded by the row
-sense), so variable bounds never become explicit rows. The basis inverse is
-kept as a sparse LU factorization plus product-form eta updates, refreshed
-periodically. Pricing is Dantzig with lowest-index tie-breaking and a
-permanent switch to Bland's rule after a long degenerate stall, which keeps
-runs deterministic and cycle-free.
+sense), so variable bounds never become explicit rows. The engine keeps its
+basis, its factorization and its reduced costs from one solve to the next.
+A new solve changes only bounds, and bounds do not enter the reduced costs,
+so the kept basis stays dual feasible once each nonbasic column is put at
+the bound its reduced cost's sign asks for; the dual simplex then restores
+primal feasibility from there. Branch and bound re-solves a node this way
+without a primal phase 1 and without refactoring the kept basis.
+
+When no finite bound fits a reduced cost (it points at an infinite bound, or
+a free column has one), the start is not dual feasible. Those reduced costs
+are shifted to zero, the dual pass reaches a primal-feasible basis, and the
+primal simplex finishes on the true costs; it also detects unboundedness.
+
+The basis inverse is a sparse LU factorization plus product-form eta
+updates. The engine refactors once the etas hold more nonzeros than the
+factors, or after REFACTOR_EVERY updates, and recomputes the basic values
+and reduced costs from scratch when it does. The dual pass picks the row
+with the largest bound violation and the column by the ratio |d_j / alpha_j|
+(ties to the largest |alpha_j|); the primal pass prices Dantzig-style. Both
+break remaining ties by the lowest index and switch permanently to
+lowest-index choices after a long degenerate stall, which keeps runs
+deterministic and cycle-free.
 """
 
 from __future__ import annotations
@@ -38,29 +55,20 @@ class LpResult:
     x: np.ndarray | None = None
     objective: float | None = None
     iterations: int = 0
-    basis: np.ndarray | None = None  # per augmented column, for warm starts
     reduced_costs: np.ndarray | None = None  # structural columns, at optimum
 
 
-def solve_lp(
-    model: MilpModel,
-    lb: np.ndarray | None = None,
-    ub: np.ndarray | None = None,
-    warm_basis: np.ndarray | None = None,
-) -> LpResult:
+def solve_lp(model: MilpModel, lb: np.ndarray | None = None, ub: np.ndarray | None = None) -> LpResult:
     """LP relaxation of ``model`` (integrality dropped); optional bound
     overrides let branch-and-bound share one matrix across nodes."""
     simplex = BoundedSimplex(model.A, model.rhs, list(model.row_sense), model.obj)
-    return simplex.solve(
-        model.lb if lb is None else lb,
-        model.ub if ub is None else ub,
-        warm_basis=warm_basis,
-    )
+    return simplex.solve(model.lb if lb is None else lb, model.ub if ub is None else ub)
 
 
 class BoundedSimplex:
     """Reusable engine: the matrix is factor-ready once, variable bounds are
-    supplied per solve (branch-and-bound shares one instance across nodes)."""
+    supplied per solve, and each solve starts from the basis the previous
+    one left (branch-and-bound shares one instance across nodes)."""
 
     def __init__(self, A: sp.csr_matrix, b, senses, c):
         A = sp.csr_matrix(A)
@@ -99,7 +107,8 @@ class BoundedSimplex:
         self.dual_tol2 = DUAL_TOL * (
             1.0 + float(np.max(np.abs(self.c))) if self.c.size else 1.0
         )
-        self._last_status: np.ndarray | None = None  # engine state after a solve
+        self.basic: np.ndarray | None = None  # None: the next solve starts from the slack basis
+        self.d: np.ndarray | None = None  # reduced costs of the basis, None when stale
 
     # -- basis / factorization --------------------------------------------
 
@@ -113,17 +122,25 @@ class BoundedSimplex:
         take = np.repeat(starts - indptr[:-1], counts) + np.arange(indptr[-1])
         B = sp.csc_matrix((A.data[take], A.indices[take], indptr), shape=(self.m, self.m))
         self.lu = spla.splu(B)
+        self.lu_nnz = self.lu.L.nnz + self.lu.U.nnz
         self.etas = []
-        self._recompute_basics(use_etas=False)
+        self.eta_nnz = 0
+        self._recompute_basics()
+        self.d = self._price()
 
-    def _recompute_basics(self, use_etas: bool):
+    def _recompute_basics(self):
         x_nb = self.x.copy()
         x_nb[self.basic] = 0.0
-        r = self.b - self.Aaug_csr @ x_nb
-        xb = self._ftran(r) if use_etas else self.lu.solve(r)
+        xb = self._ftran(self.b - self.Aaug_csr @ x_nb)
         if not np.all(np.isfinite(xb)):
             raise FloatingPointError("basis solve produced non-finite values")
         self.x[self.basic] = xb
+
+    def _price(self):
+        """Reduced costs of the working costs for the current basis."""
+        d = self.cost - self.AT @ self._btran(self.cost[self.basic])
+        d[self.basic] = 0.0
+        return d
 
     def _ftran(self, v):
         v = self.lu.solve(v)
@@ -146,131 +163,187 @@ class BoundedSimplex:
         out[self.Aaug_csc.indices[start:end]] = self.Aaug_csc.data[start:end]
         return out
 
+    def _replace(self, block, q, w):
+        """Column ``q`` takes basis position ``block``; ``w`` is its ftran."""
+        self.status[q] = BASIC
+        self.basic[block] = q
+        nz = np.flatnonzero(np.abs(w) > 1e-13)
+        nz = nz[nz != block]
+        self.etas.append((block, nz, w[nz].copy(), w[block]))
+        self.eta_nnz += nz.size + 1
+        if len(self.etas) >= REFACTOR_EVERY or self.eta_nnz > self.lu_nnz:
+            self._refactor()
+
     def _slack_start(self):
         n, m = self.n, self.m
         self.status = np.full(n + m, AT_LOWER, dtype=np.int8)
         self.status[n:] = BASIC
         self.x = np.zeros(n + m)
-        for j in range(n):
-            lo, hi = self.lb[j], self.ub[j]
-            if np.isfinite(lo):
-                self.x[j] = lo
-            elif np.isfinite(hi):
-                self.x[j], self.status[j] = hi, AT_UPPER
-            else:
-                self.x[j], self.status[j] = 0.0, AT_FREE
-        self.basic = np.flatnonzero(self.status == BASIC)
+        self.basic = np.arange(n, n + m)
+        self._refactor()
+
+    def _place_nonbasics(self) -> bool:
+        """Put each nonbasic column at the bound its reduced cost asks for;
+        a column whose reduced cost is zero stays at the bound it sat at.
+        Reduced costs that no finite bound fits are shifted to zero in the
+        working costs; returns whether any was."""
+        d, tol = self.d, self.dual_tol2
+        lb_fin, ub_fin = self.lb_finite, self.ub_finite
+        nonbasic = self.status != BASIC
+        bad = nonbasic & self.movable & (((d > tol) & ~lb_fin) | ((d < -tol) & ~ub_fin))
+        shifted = bool(bad.any())
+        if shifted:
+            self.cost = self.c.copy()
+            self.cost[bad] -= d[bad]
+            d[bad] = 0.0
+        want_lo = d > tol
+        up = nonbasic & ub_fin & (
+            (d < -tol) | (~want_lo & ((self.status == AT_UPPER) | ~lb_fin))
+        )
+        lo = nonbasic & ~up & lb_fin
+        free = nonbasic & ~up & ~lo
+        self.status[up], self.x[up] = AT_UPPER, self.ub[up]
+        self.status[lo], self.x[lo] = AT_LOWER, self.lb[lo]
+        self.status[free], self.x[free] = AT_FREE, 0.0
+        return shifted
 
     # -- main entry ---------------------------------------------------------
 
-    def solve(self, lb, ub, warm_basis=None) -> LpResult:
+    def solve(self, lb, ub) -> LpResult:
         m, n = self.m, self.n
-        total = n + m
         self.lb = np.concatenate([np.asarray(lb, dtype=float), self.slack_lb])
         self.ub = np.concatenate([np.asarray(ub, dtype=float), self.slack_ub])
         if np.any(self.lb > self.ub + 1e-12):
             return LpResult(status="infeasible")
         self.lb_finite, self.ub_finite = np.isfinite(self.lb), np.isfinite(self.ub)
         self.movable = ~(self.lb == self.ub)
-        max_iter = ITER_LIMIT_BASE + ITER_LIMIT_PER_COLUMN * total
-
-        engine_ready = self._last_status
-        self._last_status = None  # only a clean optimal exit restores it
-        started = False
-        if warm_basis is not None and len(warm_basis) == total:
-            status = np.asarray(warm_basis, dtype=np.int8).copy()
-            if np.count_nonzero(status == BASIC) == m:
-                self.status = status
-                self.x = np.zeros(total)
-                nonbasic = status != BASIC
-                lb_fin, ub_fin = self.lb_finite, self.ub_finite
-                at_up = nonbasic & (status == AT_UPPER) & ub_fin
-                at_lo = nonbasic & ~at_up
-                self.x[at_up] = self.ub[at_up]
-                lo_vals = np.where(lb_fin, self.lb, np.where(ub_fin, self.ub, 0.0))
-                self.x[at_lo] = lo_vals[at_lo]
-                self.status[at_lo & ~lb_fin & ub_fin] = AT_UPPER
-                self.status[at_lo & ~lb_fin & ~ub_fin] = AT_FREE
-                try:
-                    if engine_ready is not None and np.array_equal(
-                        status, engine_ready
-                    ) and len(self.etas) < REFACTOR_EVERY:
-                        # The engine still holds this basis factorized (the
-                        # usual case when diving); only the bounds moved.
-                        self._recompute_basics(use_etas=True)
-                    else:
-                        self.basic = np.flatnonzero(self.status == BASIC)
-                        self._refactor()
-                    started = True
-                except (RuntimeError, FloatingPointError):
-                    started = False
-        if not started:
+        self.max_iter = ITER_LIMIT_BASE + ITER_LIMIT_PER_COLUMN * (n + m)
+        self.iters = 0
+        self.cost = self.c
+        if self.basic is not None:
+            try:
+                if self.d is None:
+                    self.d = self._price()
+                return self._reoptimize()
+            except (RuntimeError, FloatingPointError):
+                pass  # numerical failure: start over from the slack basis
+        self.cost = self.c  # the failed attempt may have shifted it
+        try:
             self._slack_start()
-            self._refactor()
+            return self._reoptimize()
+        except (RuntimeError, FloatingPointError):
+            self.basic = None
+            raise
 
+    def _reoptimize(self) -> LpResult:
         self.bland = False
         self.stall = 0
-        iters = 0
+        shifted = self._place_nonbasics()
+        self._recompute_basics()
 
-        # Phase 1: drive basic bound violations to zero.
-        while True:
-            xb, lo, hi = self.x[self.basic], self.lb[self.basic], self.ub[self.basic]
-            infeasibility = float(np.sum(np.maximum(lo - xb, 0)) + np.sum(np.maximum(xb - hi, 0)))
-            if not infeasibility > FEAS_TOL * (1 + m):
-                break
-            if iters >= max_iter:
-                return LpResult(status="iteration_limit", iterations=iters)
-            if not self._phase1_step(xb, lo, hi):
-                # No step was taken, so the violation above still stands.
-                return LpResult(status="infeasible", iterations=iters)
-            iters += 1
+        while (row := self._leaving_row()) is not None:
+            if self.iters >= self.max_iter:
+                return self._iteration_limit()
+            if not self._dual_step(row):
+                if shifted:
+                    self.d = None
+                return LpResult(status="infeasible", iterations=self.iters)
+            self.iters += 1
 
-        # Phase 2: optimize the true objective.
-        while True:
-            if iters >= max_iter:
-                return LpResult(status="iteration_limit", iterations=iters)
-            outcome = self._phase2_step()
-            iters += 1
-            if outcome == "optimal":
-                break
-            if outcome == "unbounded":
-                return LpResult(status="unbounded", iterations=iters)
+        if shifted:
+            self.cost = self.c
+            self.bland = False
+            self.stall = 0
+            while True:
+                if self.iters >= self.max_iter:
+                    return self._iteration_limit()
+                outcome = self._phase2_step()
+                self.iters += 1
+                if outcome == "optimal":
+                    break
+                if outcome == "unbounded":
+                    self.d = None
+                    return LpResult(status="unbounded", iterations=self.iters)
 
+        n = self.n
         x = self.x[:n].copy()
-        self._last_status = self.status.copy()
         return LpResult(
             status="optimal",
             x=x,
             objective=float(self.c[:n] @ x),
-            iterations=iters,
-            basis=self._last_status.copy(),
-            reduced_costs=self._opt_d[:n].copy(),
+            iterations=self.iters,
+            reduced_costs=self.d[:n].copy(),
         )
 
-    # -- phases --------------------------------------------------------------
+    def _iteration_limit(self) -> LpResult:
+        self.basic = None
+        return LpResult(status="iteration_limit", iterations=self.iters)
 
-    def _phase1_step(self, xb, lo, hi) -> bool:
-        """One step on the basic values ``xb`` and their bounds; False when
-        no step is taken."""
-        cb = np.where(xb < lo - FEAS_TOL, -1.0, np.where(xb > hi + FEAS_TOL, 1.0, 0.0))
-        if not cb.any():
+    # -- dual simplex ----------------------------------------------------------
+
+    def _leaving_row(self):
+        """Basis position with the largest bound violation (lowest position
+        on ties; lowest column index once stalled), None when feasible."""
+        basic = self.basic
+        xb = self.x[basic]
+        viol = np.maximum(self.lb[basic] - xb, xb - self.ub[basic])
+        if self.bland:
+            rows = np.flatnonzero(viol > FEAS_TOL)
+            return int(rows[np.argmin(basic[rows])]) if rows.size else None
+        r = int(np.argmax(viol)) if viol.size else -1
+        return r if r >= 0 and viol[r] > FEAS_TOL else None
+
+    def _dual_step(self, r) -> bool:
+        """Move the basic column at position ``r`` to its violated bound;
+        False when no column can enter, which proves the LP infeasible."""
+        p = int(self.basic[r])
+        if self.x[p] < self.lb[p]:
+            target, s, to = self.lb[p], 1.0, AT_LOWER
+        else:
+            target, s, to = self.ub[p], -1.0, AT_UPPER
+        e = np.zeros(self.m)
+        e[r] = 1.0
+        alpha = self.AT @ self._btran(e)  # row r of B^-1 [A I]
+        sa = s * alpha
+        stat = self.status
+        eligible = self.movable & (
+            ((stat == AT_LOWER) & (sa < -PIVOT_TOL))
+            | ((stat == AT_UPPER) & (sa > PIVOT_TOL))
+            | ((stat == AT_FREE) & (np.abs(alpha) > PIVOT_TOL))
+        )
+        idx = np.flatnonzero(eligible)
+        if idx.size == 0:
             return False
-        y = self._btran(cb)
-        d = -(self.AT @ y)
-        q, sigma = self._entering(d, DUAL_TOL)
-        if q is None:
-            return False
-        return self._pivot(q, sigma, xb, lo, hi, phase1=True)
+        weights = np.abs(alpha[idx])
+        ratios = np.abs(self.d[idx]) / weights
+        ties = np.flatnonzero(ratios <= ratios.min() + RATIO_TIE)
+        k = int(ties[0]) if self.bland else int(ties[np.argmax(weights[ties])])
+        q, t = int(idx[k]), float(ratios[k])
+        self._track_stall(t)
+
+        w = self._ftran(self._column(q))
+        piv = w[r]
+        if not abs(piv) > PIVOT_TOL:
+            raise FloatingPointError("dual pivot vanished in the column solve")
+        delta = (self.x[p] - target) / piv
+        self.x[self.basic] -= delta * w
+        self.x[q] += delta
+        self.x[p] = target
+        self.d += t * sa
+        stat[p] = to
+        self._replace(r, q, w)
+        self.d[self.basic] = 0.0
+        return True
+
+    # -- primal simplex ----------------------------------------------------------
 
     def _phase2_step(self) -> str:
-        y = self._btran(self.c[self.basic])
-        d = self.c - self.AT @ y
+        d = self._price()
         q, sigma = self._entering(d, self.dual_tol2)
         if q is None:
-            self._opt_d = d
+            self.d = d
             return "optimal"
-        basic = self.basic
-        if not self._pivot(q, sigma, self.x[basic], self.lb[basic], self.ub[basic], phase1=False):
+        if not self._pivot(q, sigma):
             return "unbounded"
         return "step"
 
@@ -298,43 +371,27 @@ class BoundedSimplex:
             sigma = 1 if d[q] < 0 else -1
         return q, sigma
 
-    def _pivot(self, q, sigma, xb, lo_b, ub_b, phase1) -> bool:
+    def _pivot(self, q, sigma) -> bool:
+        basic = self.basic
+        xb = self.x[basic]
         w = self._ftran(self._column(q))
         rate = -sigma * w  # dx_basic / d(step)
 
         # Only rows whose basic value moves with the step can block it; the
         # ratio test runs on those positions of the basis.
         rows = np.flatnonzero((rate > PIVOT_TOL) | (rate < -PIVOT_TOL))
-        r_rate, r_xb, r_lo, r_ub = rate[rows], xb[rows], lo_b[rows], ub_b[rows]
-        r_basic = self.basic[rows]
+        r_rate, r_xb = rate[rows], xb[rows]
+        r_basic = basic[rows]
+        r_lo, r_ub = self.lb[r_basic], self.ub[r_basic]
         lo_fin, ub_fin = self.lb_finite[r_basic], self.ub_finite[r_basic]
         ratios = np.full(rows.size, np.inf)
         to = np.zeros(rows.size, dtype=np.int8)
-        inc = r_rate > PIVOT_TOL
-        dec = r_rate < -PIVOT_TOL
-        if phase1:
-            below = r_xb < r_lo - FEAS_TOL
-            above = r_xb > r_ub + FEAS_TOL
-            feas = ~below & ~above
-            sel = below & inc
-            ratios[sel] = (r_lo[sel] - r_xb[sel]) / r_rate[sel]
-            to[sel] = AT_LOWER
-            sel = above & dec
-            ratios[sel] = (r_ub[sel] - r_xb[sel]) / r_rate[sel]
-            to[sel] = AT_UPPER
-            sel = feas & dec & lo_fin
-            ratios[sel] = (r_xb[sel] - r_lo[sel]) / -r_rate[sel]
-            to[sel] = AT_LOWER
-            sel = feas & inc & ub_fin
-            ratios[sel] = (r_ub[sel] - r_xb[sel]) / r_rate[sel]
-            to[sel] = AT_UPPER
-        else:
-            sel = dec & lo_fin
-            ratios[sel] = (r_xb[sel] - r_lo[sel]) / -r_rate[sel]
-            to[sel] = AT_LOWER
-            sel = inc & ub_fin
-            ratios[sel] = (r_ub[sel] - r_xb[sel]) / r_rate[sel]
-            to[sel] = AT_UPPER
+        sel = (r_rate < -PIVOT_TOL) & lo_fin
+        ratios[sel] = (r_xb[sel] - r_lo[sel]) / -r_rate[sel]
+        to[sel] = AT_LOWER
+        sel = (r_rate > PIVOT_TOL) & ub_fin
+        ratios[sel] = (r_ub[sel] - r_xb[sel]) / r_rate[sel]
+        to[sel] = AT_UPPER
         ratios = np.maximum(ratios, 0.0)
 
         limit = float(ratios.min()) if rows.size else np.inf
@@ -342,7 +399,7 @@ class BoundedSimplex:
         if np.isfinite(self_range) and self_range < limit - RATIO_TIE:
             step = self_range
             self._track_stall(step)
-            self.x[self.basic] = xb + rate * step
+            self.x[basic] = xb + rate * step
             self.x[q] += sigma * step
             self.status[q] = AT_UPPER if sigma > 0 else AT_LOWER
             return True
@@ -357,21 +414,13 @@ class BoundedSimplex:
 
         step = max(float(ratios[k]), 0.0)
         self._track_stall(step)
-        self.x[self.basic] = xb + rate * step
+        self.x[basic] = xb + rate * step
         self.x[q] += sigma * step
 
-        leave = int(self.basic[block])
+        leave = int(basic[block])
         self.status[leave] = to[k]
         self.x[leave] = self.lb[leave] if to[k] == AT_LOWER else self.ub[leave]
-        self.status[q] = BASIC
-        self.basic[block] = q
-
-        piv = w[block]
-        nz = np.flatnonzero(np.abs(w) > 1e-13)
-        nz = nz[nz != block]
-        self.etas.append((block, nz, w[nz].copy(), piv))
-        if len(self.etas) >= REFACTOR_EVERY:
-            self._refactor()
+        self._replace(block, q, w)
         return True
 
     def _track_stall(self, step):

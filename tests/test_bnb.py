@@ -30,25 +30,31 @@ def test_config_validation():
             SolverConfig(**bad)
 
 
-def test_pure_binary_knapsack():
+def _knapsack():
     m = MilpModel()
     vals = [6.0, 10.0, 12.0]
     wts = [1.0, 2.0, 3.0]
     cols = [m.add_column(f"x{j}", BINARY, 0, 1, obj=-vals[j]) for j in range(3)]
     m.add_row("cap", [(cols[j], wts[j]) for j in range(3)], "L", 5.0)
-    m.freeze()
-    res = solve_bnb(m, EXACT)
+    return m.freeze()
+
+
+def _infeasible():
+    m = MilpModel()
+    a = m.add_column("a", BINARY, 0, 1)
+    m.add_row("r1", [(a, 1.0)], "G", 0.5)
+    m.add_row("r2", [(a, 1.0)], "L", 0.5)
+    return m.freeze()
+
+
+def test_pure_binary_knapsack():
+    res = solve_bnb(_knapsack(), EXACT)
     assert res.status == "optimal"
     assert res.objective == pytest.approx(-22.0)  # items 2 and 3
 
 
 def test_infeasible_milp():
-    m = MilpModel()
-    a = m.add_column("a", BINARY, 0, 1)
-    m.add_row("r1", [(a, 1.0)], "G", 0.5)
-    m.add_row("r2", [(a, 1.0)], "L", 0.5)
-    m.freeze()
-    assert solve_bnb(m, EXACT).status == "infeasible"
+    assert solve_bnb(_infeasible(), EXACT).status == "infeasible"
 
 
 def test_node_limit_reports_limit():
@@ -75,6 +81,24 @@ def test_progress_is_logged_at_info(caplog, monkeypatch):
     assert progress and all(r.levelno == logging.INFO for r in progress)
     assert progress[0].getMessage().startswith("[bnb] ")
     assert " nodes=" in progress[0].getMessage() and " bound=" in progress[0].getMessage()
+
+
+def _tiny_spc_a():
+    return build_plan_model(tiny_instance(seed=7, scenario="A", chargers="spc"))
+
+
+@pytest.mark.parametrize("make, config, stop", [
+    (_tiny_spc_a, EXACT, "gap reached"),
+    (_tiny_spc_a, SolverConfig(gap=0.0, node_limit=1), "node limit"),
+    (_knapsack, EXACT, "tree exhausted"),
+    (_infeasible, EXACT, "infeasible"),
+])
+def test_search_end_is_logged_with_its_stop_reason(caplog, make, config, stop):
+    model = make()
+    with caplog.at_level(logging.INFO, logger="evplan.bnb"):
+        res = solve_bnb(model, config)
+    (last,) = [r.getMessage() for r in caplog.records if r.name == "evplan.bnb"][-1:]
+    assert last.startswith(f"[bnb] stop={stop} nodes={res.nodes} lp_iterations={res.lp_iterations} ")
 
 
 def test_bound_never_exceeds_objective():
@@ -136,24 +160,26 @@ def test_incumbent_satisfies_model():
 # Search trajectory of the exact solver on acceptance instances 1000-1003:
 # (seed, chargers, scenario, status, objective, bound, nodes, LP iterations,
 # presolved rows, columns, nonzeros). Overhead work on the node loop must not
-# move any of these; a changed pivot or node order shows in the counts.
+# move any of these; a changed pivot or node order shows in the counts. The
+# objective, which an alternate optimal plan may sum in another order, is
+# also held to the exhaustive oracle's.
 PINNED_TRAJECTORIES = [
-    (1000, "spc", "A", "optimal", 1840.0, 1840.0, 499, 1148, 46, 30, 160),
-    (1000, "spc", "B", "optimal", 1840.0, 1840.0, 499, 1148, 46, 30, 160),
-    (1000, "mpc", "A", "optimal", 1840.0, 1840.0, 730, 1425, 52, 34, 178),
-    (1000, "mpc", "B", "optimal", 1840.0, 1840.0, 730, 1425, 52, 34, 178),
-    (1001, "spc", "A", "optimal", 919.9999999999999, 919.9999999999999, 25, 148, 53, 32, 184),
-    (1001, "spc", "B", "optimal", 919.9999999999999, 919.9999999999999, 25, 148, 53, 32, 184),
-    (1001, "mpc", "A", "optimal", 919.9999999999999, 919.9999999999999, 33, 196, 61, 38, 204),
-    (1001, "mpc", "B", "optimal", 919.9999999999999, 919.9999999999999, 33, 196, 61, 38, 204),
-    (1002, "spc", "A", "optimal", 920.0, 920.0, 40, 101, 25, 17, 79),
-    (1002, "spc", "B", "optimal", 920.0, 920.0, 40, 101, 25, 17, 79),
-    (1002, "mpc", "A", "optimal", 920.0, 920.0, 61, 150, 31, 21, 91),
-    (1002, "mpc", "B", "optimal", 920.0, 920.0, 61, 150, 31, 21, 91),
-    (1003, "spc", "A", "optimal", 1840.0, 1840.0, 74, 297, 46, 30, 160),
-    (1003, "spc", "B", "optimal", 1840.0, 1840.0, 74, 297, 46, 30, 160),
-    (1003, "mpc", "A", "optimal", 1840.0, 1840.0, 455, 969, 52, 34, 178),
-    (1003, "mpc", "B", "optimal", 1840.0, 1840.0, 455, 969, 52, 34, 178),
+    (1000, "spc", "A", "optimal", 1840.0, 1840.0, 443, 699, 46, 30, 160),
+    (1000, "spc", "B", "optimal", 1840.0, 1840.0, 443, 699, 46, 30, 160),
+    (1000, "mpc", "A", "optimal", 1840.0, 1840.0, 894, 1423, 52, 34, 178),
+    (1000, "mpc", "B", "optimal", 1840.0, 1840.0, 894, 1423, 52, 34, 178),
+    (1001, "spc", "A", "optimal", 919.9999999999995, 919.9999999999995, 27, 108, 53, 32, 184),
+    (1001, "spc", "B", "optimal", 919.9999999999995, 919.9999999999995, 27, 108, 53, 32, 184),
+    (1001, "mpc", "A", "optimal", 920.0, 920.0, 35, 164, 61, 38, 204),
+    (1001, "mpc", "B", "optimal", 920.0, 920.0, 35, 164, 61, 38, 204),
+    (1002, "spc", "A", "optimal", 920.0, 920.0, 41, 76, 25, 17, 79),
+    (1002, "spc", "B", "optimal", 920.0, 920.0, 41, 76, 25, 17, 79),
+    (1002, "mpc", "A", "optimal", 920.0, 920.0, 68, 127, 31, 21, 91),
+    (1002, "mpc", "B", "optimal", 920.0, 920.0, 68, 127, 31, 21, 91),
+    (1003, "spc", "A", "optimal", 1840.0, 1840.0, 86, 288, 46, 30, 160),
+    (1003, "spc", "B", "optimal", 1840.0, 1840.0, 86, 288, 46, 30, 160),
+    (1003, "mpc", "A", "optimal", 1840.0, 1840.0, 461, 802, 52, 34, 178),
+    (1003, "mpc", "B", "optimal", 1840.0, 1840.0, 461, 802, 52, 34, 178),
 ]
 
 
@@ -167,6 +193,9 @@ def test_search_trajectory_is_pinned(seed):
         got = (seed, chargers, scenario, res.status, res.objective, res.bound,
                res.nodes, res.lp_iterations, red.n_rows, red.n_cols, red.A.nnz)
         assert got == pin
+        orc = brute_force_oracle(tiny_instance(seed=seed, scenario=scenario, chargers=chargers),
+                                 max_free_binaries=40)
+        assert abs(res.objective - orc.objective) <= 1e-9
 
 
 def _same_bits(a, b):

@@ -58,6 +58,13 @@ def test_missing_grid_file_exits_2(tmp_path):
     assert rc == 2
 
 
+def test_negative_seed_exits_2(tmp_path):
+    assert run_cli("generate", "--seed", -1, "--vehicles", 2, "--out", tmp_path) == 2
+    (tmp_path / "cfg.json").write_text(json.dumps({"seed": -1}))
+    assert run_cli("generate", "--config", tmp_path / "cfg.json", "--vehicles", 2,
+                   "--out", tmp_path) == 2
+
+
 def test_config_file_keys_and_flag_overrides(tmp_path):
     (tmp_path / "cfg.json").write_text(json.dumps({"vehicles": 5, "seed": 9}))
     assert run_cli("generate", "--config", tmp_path / "cfg.json", "--out", tmp_path) == 0
@@ -392,10 +399,15 @@ def test_report_prices_each_file_with_its_counting_rule(tmp_path):
     rc = run_cli("solve", *fleet, "--chargers", "mpc", "--scenario", "A",
                  "--mpc-slow-literal", "--node-limit", 100, "--out", tmp_path)
     assert rc in (0, 4)
-    literal = tmp_path / "solution_mpc-A.json"
-    doc = json.loads(literal.read_text())
+    doc = json.loads((tmp_path / "solution_mpc-A.json").read_text())
     assert doc["mpc_slow_literal"] is True
     slow_chargers = sum(doc["counts"]["slow_chargers"])
+    # Hold every slow plug without slow charging: the literal rule's counts
+    # (slow chargers by plugs) stay as solved, the default rule needs no slow
+    # charger at all, so the two rules disagree on any plan with a slow plug.
+    doc["columns"]["slow_charge"] = np.zeros_like(doc["columns"]["slow_charge"]).tolist()
+    literal = tmp_path / "held_plugs.json"
+    literal.write_text(json.dumps(doc))
 
     def report(path, out):
         assert run_cli("report", *fleet, "--solutions", path, "--out", out) == 0
@@ -406,7 +418,7 @@ def test_report_prices_each_file_with_its_counting_rule(tmp_path):
 
     assert report(literal, tmp_path / "rep") == (doc["objective"], slow_chargers)
     # A file without the field is priced with the default rule: slow chargers
-    # by the slow-charge peak, which this plan keeps below its slow-plug peak.
+    # by the slow-charge peak, which this plan holds below its slow-plug peak.
     legacy = tmp_path / "legacy.json"
     legacy.write_text(json.dumps({k: v for k, v in doc.items() if k != "mpc_slow_literal"}))
     cost, slow = report(legacy, tmp_path / "rep_default")

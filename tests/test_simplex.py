@@ -3,7 +3,7 @@ import pytest
 from scipy.optimize import linprog
 
 from evplan.milp import CONTINUOUS, MilpModel
-from evplan.simplex import solve_lp
+from evplan.simplex import BoundedSimplex, solve_lp
 
 
 def _model(c, A, senses, b, lb, ub):
@@ -13,6 +13,30 @@ def _model(c, A, senses, b, lb, ub):
     for i, row in enumerate(A):
         m.add_row(f"r{i}", [(j, a) for j, a in enumerate(row) if a != 0.0], senses[i], b[i])
     return m.freeze()
+
+
+def _reference(c, A, senses, b, bounds):
+    """Cold HiGHS solve of the same LP."""
+    Aub, bub, Aeq, beq = [], [], [], []
+    for i, row in enumerate(A):
+        if senses[i] == "L":
+            Aub.append(row); bub.append(b[i])
+        elif senses[i] == "G":
+            Aub.append(-row); bub.append(-b[i])
+        else:
+            Aeq.append(row); beq.append(b[i])
+    return linprog(
+        c,
+        A_ub=np.array(Aub) if Aub else None,
+        b_ub=np.array(bub) if bub else None,
+        A_eq=np.array(Aeq) if Aeq else None,
+        b_eq=np.array(beq) if beq else None,
+        bounds=bounds,
+        method="highs",
+    )
+
+
+LINPROG_STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
 
 
 def test_min_x_subject_to_x_ge_3():
@@ -70,23 +94,7 @@ def test_random_cross_check_against_linprog(trial):
     c = rng.normal(size=nn)
     m = _model(c, A, senses, b, [0.0] * nn, [1.0] * nn)
     mine = solve_lp(m)
-    Aub, bub, Aeq, beq = [], [], [], []
-    for i in range(mm):
-        if senses[i] == "L":
-            Aub.append(A[i]); bub.append(b[i])
-        elif senses[i] == "G":
-            Aub.append(-A[i]); bub.append(-b[i])
-        else:
-            Aeq.append(A[i]); beq.append(b[i])
-    ref = linprog(
-        c,
-        A_ub=np.array(Aub) if Aub else None,
-        b_ub=np.array(bub) if bub else None,
-        A_eq=np.array(Aeq) if Aeq else None,
-        b_eq=np.array(beq) if beq else None,
-        bounds=[(0, 1)] * nn,
-        method="highs",
-    )
+    ref = _reference(c, A, senses, b, [(0, 1)] * nn)
     assert ref.status == 0
     assert mine.status == "optimal"
     assert mine.objective == pytest.approx(ref.fun, abs=1e-6 * max(1, abs(ref.fun)))
@@ -99,16 +107,79 @@ def test_warm_start_matches_cold():
     b = A @ rng.random(nn) + rng.random(mm)
     c = rng.normal(size=nn)
     m = _model(c, A, ["L"] * mm, b, [0.0] * nn, [1.0] * nn)
-    cold = solve_lp(m)
-    # Tighten one bound and re-solve warm vs cold.
-    lb = m.lb.copy()
+    engine = BoundedSimplex(m.A, m.rhs, list(m.row_sense), m.obj)
+    assert engine.solve(m.lb, m.ub).status == "optimal"
+    # Tighten one bound and re-solve from the engine's basis vs cold.
     ub = m.ub.copy()
     ub[3] = 0.0
-    warm = solve_lp(m, lb=lb, ub=ub, warm_basis=cold.basis)
-    cold2 = solve_lp(m, lb=lb, ub=ub)
-    assert warm.status == cold2.status == "optimal"
-    assert warm.objective == pytest.approx(cold2.objective, abs=1e-8)
-    assert warm.iterations <= cold2.iterations
+    warm = engine.solve(m.lb, ub)
+    cold = solve_lp(m, ub=ub)
+    assert warm.status == cold.status == "optimal"
+    assert warm.objective == pytest.approx(cold.objective, abs=1e-8)
+    assert warm.iterations <= cold.iterations
+
+
+@pytest.mark.parametrize("trial", range(4))
+def test_resolve_through_bound_changes_matches_cold_linprog(trial):
+    """One engine re-solved through random tightenings and relaxations, some
+    of them infeasible, agrees with a cold HiGHS solve at every step."""
+    rng = np.random.default_rng(500 + trial)
+    mm, nn = 14, 20
+    A = rng.normal(size=(mm, nn)) * (rng.random((mm, nn)) < 0.4)
+    senses = rng.choice(["L", "G", "E"], size=mm, p=[0.5, 0.35, 0.15])
+    b = A @ rng.random(nn)
+    b += np.where(senses == "L", rng.random(mm), np.where(senses == "G", -rng.random(mm), 0.0))
+    c = rng.normal(size=nn)
+    lb0, ub0 = np.zeros(nn), np.ones(nn)
+    m = _model(c, A, senses, b, lb0, ub0)
+    engine = BoundedSimplex(m.A, m.rhs, list(m.row_sense), m.obj)
+    lb, ub = lb0.copy(), ub0.copy()
+    seen = []
+    for _ in range(40):
+        cols = rng.choice(nn, size=int(rng.integers(1, 5)), replace=False)
+        move = rng.integers(3)
+        if move == 0:  # fix at a bound, as a branch does
+            vals = rng.integers(0, 2, size=cols.size).astype(float)
+            lb[cols], ub[cols] = vals, vals
+        elif move == 1:  # tighten inside the box
+            lb[cols] = np.minimum(rng.random(cols.size) * 0.5, ub[cols])
+        else:  # relax back to the original box
+            lb[cols], ub[cols] = lb0[cols], ub0[cols]
+        if seen and seen[-1] == "infeasible":  # backtrack to the root box
+            lb, ub = lb0.copy(), ub0.copy()
+        mine = engine.solve(lb, ub)
+        ref = _reference(c, A, senses, b, list(zip(lb, ub)))
+        assert mine.status == LINPROG_STATUS[ref.status]
+        if ref.status == 0:
+            assert mine.objective == pytest.approx(ref.fun, abs=1e-8)
+        seen.append(mine.status)
+    assert "infeasible" in seen[:-1] and "optimal" in seen
+
+
+def test_model_without_rows():
+    m = _model([1.0, -2.0, 0.0], [], [], [], [-1.0, 0.0, -np.inf], [3.0, 4.0, np.inf])
+    res = solve_lp(m)
+    assert res.status == "optimal"
+    assert res.objective == pytest.approx(-9.0)
+    assert list(res.x[:2]) == [-1.0, 4.0]
+    unbounded = _model([-1.0], [], [], [], [0.0], [np.inf])
+    assert solve_lp(unbounded).status == "unbounded"
+
+
+def test_start_that_is_not_dual_feasible():
+    # A negative cost on a column without an upper bound: no bound fits its
+    # reduced cost, so the dual pass runs on a zero cost and the primal
+    # finishes, reporting unbounded here and the row's limit once bounded.
+    m = _model([-1.0], [[1.0]], ["G"], [0.0], [0.0], [np.inf])
+    assert solve_lp(m).status == "unbounded"
+    capped = _model([-1.0, 1.0], [[1.0, 0.0], [1.0, -1.0]], ["G", "L"], [0.0, 5.0],
+                    [0.0, 0.0], [np.inf, 2.0])
+    res = solve_lp(capped)
+    assert res.status == "optimal"
+    assert res.objective == pytest.approx(-5.0)
+    ref = _reference([-1.0, 1.0], np.array([[1.0, 0.0], [1.0, -1.0]]), ["G", "L"], [0.0, 5.0],
+                     [(0, None), (0, 2)])
+    assert res.objective == pytest.approx(ref.fun, abs=1e-8)
 
 
 def test_reduced_costs_signs():

@@ -9,6 +9,8 @@ from evplan import bnb
 from evplan.bnb import SolverConfig, _dive_nodes, _Node, solve_bnb
 from evplan.builder import build_plan_model
 from evplan.errors import ParameterError
+from evplan.fleet import generate_commute_fleet
+from evplan.instance import prepare_instance
 from evplan.milp import BINARY, MilpModel
 from evplan.oracle import brute_force_oracle
 from evplan.presolve import presolve
@@ -240,3 +242,28 @@ def test_node_bounds_match_parent_walk(data):
         lb, ub = node.bounds(lb0, ub0)
         ref_lb, ref_ub = parent_walk_bounds(ref, lb0, ub0)
         assert _same_bits(lb, ref_lb) and _same_bits(ub, ref_ub)
+
+
+# Search of the desk study (bundled grid, 17 commuting vehicles, seed 42, gap
+# 0.10, 200 nodes), per configuration: (status, objective, bound, nodes, LP
+# iterations). A change to how nodes are stored or expanded must not move it.
+DESK_SEARCH = {
+    ("spc", "A"): ("limit", 9200.0, 3341.2260167815725, 200, 1323),
+    ("spc", "B"): ("limit", 8280.0, 2992.629504874929, 200, 1621),
+    ("mpc", "A"): ("limit", 6120.0, 3107.589787282068, 200, 852),
+    ("mpc", "B"): ("limit", 6920.0, 2956.5437479642824, 200, 912),
+}
+
+
+def test_desk_search_is_pinned(cigre_network, cigre_demand):
+    sched, vehicles = generate_commute_fleet(
+        cigre_network.cluster_nodes(1), cigre_network.cluster_nodes(2), 17, seed=42
+    )
+    got = {}
+    for chargers, scenario in DESK_SEARCH:
+        inst = prepare_instance(cigre_network, cigre_demand, sched, vehicles,
+                                scenario=scenario, chargers=chargers)
+        res = solve_bnb(build_plan_model(inst), SolverConfig(gap=0.10, node_limit=200))
+        got[(chargers, scenario)] = (res.status, res.objective, res.bound, res.nodes,
+                                     res.lp_iterations)
+    assert got == DESK_SEARCH

@@ -12,6 +12,11 @@ the reported global bound is exact and non-decreasing.
 
 Branching picks the most-fractional binary, ties to the lowest column
 index. All decisions are deterministic for a fixed model and config.
+
+A node is the list of binary fixes on its path from the root. A column
+is fixed at most once on a path, since the search branches only on a
+fractional column and pins only unfixed ones, so a node's bounds are the
+root bounds with each fix applied once, in any order.
 """
 
 from __future__ import annotations
@@ -70,99 +75,46 @@ class MilpSolveResult:
 
 
 class _Node:
-    """A search node and its bound changes relative to ``parent``.
+    """A search node: the binary fixes on its path from the root.
 
-    A node tightens at most one column by its own branch (``branch_col``,
-    applied first), then pins ``fix_cols[fix_from:]`` at ``fix_vals[fix_from:]``. A
-    dive step stores its pinned columns once, deepest first; each sibling
-    along the step shares those arrays from its own position on. Changes
-    apply deepest first, as a walk up a chain of single-column branches
-    would apply them, and the walk takes one step per dive step, not one
-    per pinned column.
+    ``cols``/``vals`` are the fixes root first; ``col``/``val`` is the
+    node's own fix (``col`` -1: none), which a branch child or a flip
+    sibling adds to its parent's path. A dive step stores its path once;
+    the flip sibling of the step's k-th fix holds a prefix view of it. Each
+    column appears at most once on a path, so applying a fix is one
+    ``max``/``min`` against the root bound, which keeps the root value on a
+    tie (0.0 against -0.0).
     """
 
-    __slots__ = (
-        "id", "key", "parent", "branch_col", "branch_lo", "branch_hi",
-        "fix_cols", "fix_vals", "fix_from", "frac_col", "frac_val", "evaluated",
-    )
+    __slots__ = ("id", "key", "cols", "vals", "col", "val", "frac_col", "frac_val", "evaluated")
 
-    def __init__(self, id, key, parent, branch_col=-1, branch_lo=0.0, branch_hi=1.0,
-                 fix_cols=None, fix_vals=None, fix_from=0):
+    def __init__(self, id, key, cols, vals, col=-1, val=0.0):
         self.id = id
         self.key = key
-        self.parent = parent
-        self.branch_col = branch_col
-        self.branch_lo = branch_lo
-        self.branch_hi = branch_hi
-        self.fix_cols = fix_cols
-        self.fix_vals = fix_vals
-        self.fix_from = fix_from
+        self.cols = cols
+        self.vals = vals
+        self.col = col
+        self.val = val
         self.frac_col = -1
         self.frac_val = 0.0
         self.evaluated = False
 
+    def path(self) -> tuple[np.ndarray, np.ndarray]:
+        """Columns and values of every fix on the path, root first."""
+        if self.col < 0:
+            return self.cols, self.vals
+        return np.append(self.cols, self.col), np.append(self.vals, self.val)
+
     def bounds(self, lb0, ub0):
-        """Bounds after every change from this node up to the root."""
-        cols, lo, hi = [], [], []
-        node = self
-        while node is not None:
-            if node.branch_col >= 0:
-                cols.append((node.branch_col,))
-                lo.append((node.branch_lo,))
-                hi.append((node.branch_hi,))
-            if node.fix_cols is not None:
-                vals = node.fix_vals[node.fix_from:]
-                cols.append(node.fix_cols[node.fix_from:])
-                lo.append(vals)
-                hi.append(vals)
-            node = node.parent
+        """The root bounds with every fix on the path applied."""
+        cols, vals = self.path()
         lb, ub = lb0.copy(), ub0.copy()
-        if cols:
-            cols = np.concatenate(cols)
-            _tighten_in_order(lb, cols, np.concatenate(lo), upper=False)
-            _tighten_in_order(ub, cols, np.concatenate(hi), upper=True)
+        lb[cols] = np.where(vals > lb0[cols], vals, lb0[cols])
+        ub[cols] = np.where(vals < ub0[cols], vals, ub0[cols])
         return lb, ub
 
     def __lt__(self, other):
         return self.id < other.id
-
-
-def _tighten_in_order(bound, cols, vals, upper):
-    """For each ``cols``/``vals`` pair in order, set ``bound[c]`` to
-    ``min(bound[c], v)`` (``upper``) or ``max(bound[c], v)``, vectorized.
-
-    ``min`` and ``max`` keep the current value on a tie, so of equal values
-    (0.0 and -0.0) the earliest one stays; the stable sort keeps it first
-    among the tightest values of each column.
-    """
-    order = np.lexsort((vals if upper else -vals, cols))
-    sorted_cols = cols[order]
-    head = np.empty(sorted_cols.size, dtype=bool)
-    head[0] = True
-    np.not_equal(sorted_cols[1:], sorted_cols[:-1], out=head[1:])
-    c, v = sorted_cols[head], vals[order[head]]
-    cur = bound[c]
-    bound[c] = np.where(v < cur if upper else v > cur, v, cur)
-
-
-def _dive_nodes(parent: _Node, first_id: int, cols: np.ndarray, vals: np.ndarray,
-                keys: np.ndarray) -> tuple[_Node, list[_Node]]:
-    """Nodes of one dive step below ``parent`` that pins ``cols`` at ``vals``.
-
-    Ids and keys are those of a chain of single-column branches: sibling k
-    (``cols[k]`` at ``1 - vals[k]``, key ``keys[k]``), then link k, each
-    link the parent of the next pair. Of the links only the last, the end
-    of the chain, is created; the siblings hang from ``parent`` and take
-    the links' fixes from the shared arrays.
-    """
-    rev_cols, rev_vals = cols[::-1], vals[::-1]
-    k_all = cols.size
-    siblings = [
-        _Node(first_id + 2 * k, key, parent, col, 1.0 - val, 1.0 - val, rev_cols, rev_vals, k_all - k)
-        for k, (col, val, key) in enumerate(zip(cols.tolist(), vals.tolist(), keys.tolist()))
-    ]
-    chain = _Node(first_id + 2 * k_all - 1, parent.key, parent, fix_cols=rev_cols, fix_vals=rev_vals)
-    return chain, siblings
 
 
 def _relative_gap(incumbent: float, bound: float) -> float:
@@ -194,9 +146,6 @@ class _Search:
         self.log_progress = log.isEnabledFor(logging.INFO)
         self.last_log = self.started
         self.eval_counts = {"fractional": 0, "infeasible": 0, "integral": 0}
-        self._last_d: np.ndarray | None = None
-        self._last_d_node = -1
-        self._last_bounds: tuple[np.ndarray, np.ndarray] | None = None
 
     # -- helpers -----------------------------------------------------------
 
@@ -213,6 +162,8 @@ class _Search:
         return None
 
     def evaluate(self, node: _Node):
+        """Solve the node's LP. Returns the outcome and, unless infeasible,
+        the LP's (x, reduced costs, lb, ub) for a dive step below it."""
         lb, ub = node.bounds(self.red.lb, self.red.ub)
         res = self.engine.solve(lb, ub)
         self.lp_iters += res.iterations
@@ -224,17 +175,15 @@ class _Search:
         if res.status != "optimal":
             raise RuntimeError(f"node LP ended with status {res.status}")
         node.key = max(node.key, res.objective + self.red.obj_offset)
-        self._last_d = res.reduced_costs  # valid only while node is current
-        self._last_d_node = node.id
-        self._last_bounds = lb, ub
+        lp = res.x, res.reduced_costs, lb, ub
         col = self._fractional_col(res.x)
         if col < 0:
             self.eval_counts["integral"] += 1
             self._accept(res.x)
-            return "integral", res.x
+            return "integral", lp
         self.eval_counts["fractional"] += 1
         node.frac_col, node.frac_val = col, float(res.x[col])
-        return "fractional", res.x
+        return "fractional", lp
 
     def _fractional_col(self, x) -> int:
         if self.int_cols.size == 0:
@@ -279,40 +228,28 @@ class _Search:
 
     # -- expansion ----------------------------------------------------------
 
-    def _flip_lifts(self, parent: _Node, cols: np.ndarray, to_one: np.ndarray) -> np.ndarray:
-        """Valid bound increases for forcing ``cols`` away from their LP
-        values, from the parent's reduced costs (zero when the LP is stale)."""
-        if self._last_d is None or self._last_d_node != parent.id:
-            return np.zeros(cols.size)
-        d = self._last_d[cols]
-        lift = np.where(to_one, d, -d)
-        return np.where(lift > 0.0, lift, 0.0)
-
     def _branch_pair(self, parent: _Node, col: int, val: float):
-        """Two-way children on one column; the rounded side first."""
-        floor = float(np.floor(val + INT_TOL))
-        down = (float(self.red.lb[col]), floor)
-        up = (floor + 1.0, float(self.red.ub[col]))
-        first, second = (up, down) if val - floor > 0.5 else (down, up)
-        dive = _Node(self.next_id, parent.key, parent, col, *first)
-        self.next_id += 1
-        rest = _Node(self.next_id, parent.key, parent, col, *second)
-        self.next_id += 1
+        """Two-way children on one binary, fixed at 0 and at 1; the rounded
+        side first."""
+        cols, vals = parent.path()
+        first, second = (1.0, 0.0) if val > 0.5 else (0.0, 1.0)
+        dive = _Node(self.next_id, parent.key, cols, vals, col, first)
+        rest = _Node(self.next_id + 1, parent.key, cols, vals, col, second)
+        self.next_id += 2
         return dive, rest
 
-    def _dive_chain(self, parent: _Node, x: np.ndarray):
-        """One dive step: a chain of single-column fixes.
+    def _dive_chain(self, parent: _Node, lp):
+        """One dive step below ``parent``, from its LP result ``lp``.
 
         Every unfixed binary within BULK_TOL of an integer is pinned at its
         current value (drifting integral values is what ruins dive leaves);
         when nothing is pinnable the least-fractional binary is rounded.
-        Each fix leaves its flip-side sibling pending with a reduced-cost
-        lifted key, so the chain is an ordinary sequence of two-way
-        branches and the search stays exhaustive.
+        Each fix leaves its flip-side sibling pending with a key lifted by
+        the parent's reduced cost (a valid bound increase for forcing the
+        column away from its LP value), so the step is an ordinary sequence
+        of two-way branches and the search stays exhaustive.
         """
-        if self._last_d_node != parent.id:
-            raise RuntimeError("dive step from a node other than the last LP solved")
-        lb, ub = self._last_bounds
+        x, d, lb, ub = lp
         vals = x[self.int_cols]
         dist = np.abs(vals - np.round(vals))
         unfixed = lb[self.int_cols] < ub[self.int_cols]
@@ -324,9 +261,18 @@ class _Search:
             order = int(np.argmin(np.where(frac, dist, np.inf)))
             fix_cols = self.int_cols[order : order + 1]
         fix_vals = np.round(x[fix_cols])
-        keys = parent.key + self._flip_lifts(parent, fix_cols, 1.0 - fix_vals > 0.5)
-        chain, siblings = _dive_nodes(parent, self.next_id, fix_cols, fix_vals, keys)
-        self.next_id += 2 * fix_cols.size
+        lift = np.where(1.0 - fix_vals > 0.5, d[fix_cols], -d[fix_cols])
+        keys = parent.key + np.where(lift > 0.0, lift, 0.0)
+        cols, vals = parent.path()
+        n = cols.size
+        cols, vals = np.concatenate((cols, fix_cols)), np.concatenate((vals, fix_vals))
+        siblings = [
+            _Node(self.next_id + k, key, cols[: n + k], vals[: n + k], col, 1.0 - val)
+            for k, (col, val, key) in enumerate(zip(fix_cols.tolist(), fix_vals.tolist(), keys.tolist()))
+        ]
+        self.next_id += fix_cols.size
+        chain = _Node(self.next_id, parent.key, cols, vals)
+        self.next_id += 1
         return chain, siblings
 
     def _plunge(self, node: _Node):
@@ -343,7 +289,7 @@ class _Search:
         stack: list[_Node] = []  # pending flip-side siblings along the path
         dive, rest = self._branch_pair(node, node.frac_col, node.frac_val)
         stack.append(rest)
-        cur, x = self._eval_or_backtrack(dive, stack)
+        cur, lp = self._eval_or_backtrack(dive, stack)
         backtracks = 0
         steps = 0
         while cur is not None and steps < PLUNGE_CAP:
@@ -351,11 +297,11 @@ class _Search:
                 heapq.heappush(self.heap, (cur.key, cur))
                 break
             steps += 1
-            chain, siblings = self._dive_chain(cur, x)
+            chain, siblings = self._dive_chain(cur, lp)
             stack.extend(siblings)
-            status, cx = self.evaluate(chain)
+            status, chain_lp = self.evaluate(chain)
             if status == "fractional" and not self._fathomed(chain.key):
-                cur, x = chain, cx
+                cur, lp = chain, chain_lp
                 continue
             if status == "integral":
                 break
@@ -367,7 +313,7 @@ class _Search:
             )
             if backtracks > limit:
                 break
-            cur, x = self._eval_or_backtrack(None, stack)
+            cur, lp = self._eval_or_backtrack(None, stack)
         for rest in stack:
             if not rest.evaluated:
                 heapq.heappush(self.heap, (rest.key, rest))
@@ -384,9 +330,9 @@ class _Search:
                     cand.evaluated = True  # closed by bound, not re-queued
                     cand = None
                     continue
-            status, x = self.evaluate(cand)
+            status, lp = self.evaluate(cand)
             if status == "fractional" and not self._fathomed(cand.key):
-                return cand, x
+                return cand, lp
             if self.out_of_budget():
                 return None, None
             cand = None
@@ -409,9 +355,9 @@ class _Search:
         if self.infeasible:
             return "infeasible"
 
-        root = _Node(self.next_id, -np.inf, None)
+        root = _Node(self.next_id, -np.inf, np.empty(0, dtype=np.intp), np.empty(0))
         self.next_id += 1
-        status, _x = self.evaluate(root)
+        status, _lp = self.evaluate(root)
         if status == "infeasible":
             return "infeasible"
         self.best_bound = root.key
@@ -435,7 +381,7 @@ class _Search:
             if self._fathomed(key):
                 continue
             if not node.evaluated:
-                status, _x = self.evaluate(node)
+                status, _lp = self.evaluate(node)
                 if status != "fractional":
                     continue
                 if self._fathomed(node.key):

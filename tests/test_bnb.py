@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evplan import bnb
-from evplan.bnb import SolverConfig, _dive_nodes, _Node, solve_bnb
+from evplan.bnb import SolverConfig, _Node, solve_bnb
 from evplan.builder import build_plan_model
 from evplan.errors import ParameterError
 from evplan.fleet import generate_commute_fleet
@@ -207,38 +207,46 @@ def _same_bits(a, b):
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_node_bounds_match_parent_walk(data):
-    """Random trees of two-way branches and dive steps (with flip siblings
-    and repeated fixes of one column): every node's bounds equal a walk up
-    the equivalent chain of single-column branches, down to signed zeros."""
-    n = data.draw(st.integers(1, 5), label="columns")
-    value = st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0, 2.0])
-    lb0 = np.array(data.draw(st.lists(st.sampled_from([-np.inf, -1.0, -0.0, 0.0]),
-                                      min_size=n, max_size=n), label="lb"))
-    ub0 = np.array(data.draw(st.lists(st.sampled_from([-0.0, 0.0, 1.0, np.inf]),
-                                      min_size=n, max_size=n), label="ub"))
-    nodes = [(_Node(0, 0.0, None), None)]  # (node, reference chain)
+    """Random trees of two-way branches and dive steps with flip siblings,
+    built the way the search builds them (each column fixed at most once on
+    a path): every node's bounds equal a walk up the equivalent chain of
+    single-column branches, down to signed zeros. A branch child's chain
+    link is the range it stood for before the store held fixes only: down
+    ``(lb0, 0)``, up ``(1, ub0)``."""
+    n = data.draw(st.integers(1, 6), label="columns")
+    value = st.sampled_from([0.0, -0.0, 1.0])
+    lb0 = np.array(data.draw(st.lists(st.sampled_from([0.0, -0.0]), min_size=n, max_size=n),
+                             label="lb"))
+    ub0 = np.ones(n)
+    root = _Node(0, 0.0, np.empty(0, dtype=np.intp), np.empty(0))
+    nodes = [(root, None, frozenset())]  # (node, reference chain, fixed columns)
     next_id = 1
     for _ in range(data.draw(st.integers(0, 12), label="steps")):
-        parent, ref = data.draw(st.sampled_from(nodes))
+        parent, ref, fixed = data.draw(st.sampled_from(nodes))
+        free = [c for c in range(n) if c not in fixed]
+        if not free:
+            continue
+        cols, vals = parent.path()
         if data.draw(st.booleans(), label="dive"):
-            cols = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
-            vals = data.draw(st.lists(value, min_size=len(cols), max_size=len(cols)))
-            keys = np.arange(len(cols), dtype=float)
-            chain, siblings = _dive_nodes(parent, next_id, np.array(cols), np.array(vals), keys)
-            assert [s.id for s in siblings] == list(range(next_id, next_id + 2 * len(cols), 2))
-            assert chain.id == next_id + 2 * len(cols) - 1
-            next_id += 2 * len(cols)
+            fix = data.draw(st.lists(st.sampled_from(free), min_size=1, unique=True))
+            fix_vals = data.draw(st.lists(value, min_size=len(fix), max_size=len(fix)))
+            m = cols.size
+            cols, vals = np.concatenate((cols, fix)), np.concatenate((vals, fix_vals))
             link = ref
-            for sib, col, val in zip(siblings, cols, vals):
-                nodes.append((sib, (link, col, 1.0 - val, 1.0 - val)))
+            for k, (col, val) in enumerate(zip(fix, fix_vals)):
+                sib = _Node(next_id + k, 0.0, cols[: m + k], vals[: m + k], col, 1.0 - val)
+                nodes.append((sib, (link, col, 1.0 - val, 1.0 - val), fixed | set(fix[:k + 1])))
                 link = (link, col, val, val)
-            nodes.append((chain, link))
-        else:
-            col = data.draw(st.integers(0, n - 1))
-            lo, hi = data.draw(value), data.draw(value)
-            nodes.append((_Node(next_id, 0.0, parent, col, lo, hi), (ref, col, lo, hi)))
+            next_id += len(fix)
+            nodes.append((_Node(next_id, 0.0, cols, vals), link, fixed | set(fix)))
             next_id += 1
-    for node, ref in nodes:
+        else:
+            col = data.draw(st.sampled_from(free))
+            for val, lo, hi in ((0.0, lb0[col], 0.0), (1.0, 1.0, ub0[col])):
+                child = _Node(next_id, 0.0, cols, vals, col, val)
+                nodes.append((child, (ref, col, lo, hi), fixed | {col}))
+                next_id += 1
+    for node, ref, _ in nodes:
         lb, ub = node.bounds(lb0, ub0)
         ref_lb, ref_ub = parent_walk_bounds(ref, lb0, ub0)
         assert _same_bits(lb, ref_lb) and _same_bits(ub, ref_ub)

@@ -81,11 +81,12 @@ def charger_table(cases: list[StudyCase]) -> list[dict]:
         counts = case.solution.counts
         chargers = counts["fast_chargers"] + counts["slow_chargers"]
         plugs = counts["fast_plugs"] + counts["slow_plugs"]
+        node_rows = []
         for k, node in enumerate(inst.node_ids):
             bus = inst.network.buses[inst.network.bus_index(node)]
             if chargers[k] == 0 and plugs[k] == 0 and bus.cluster is None:
                 continue
-            rows.append(
+            node_rows.append(
                 {
                     "case": case.label,
                     "node": node,
@@ -96,8 +97,9 @@ def charger_table(cases: list[StudyCase]) -> list[dict]:
                     "slow_chargers": int(counts["slow_chargers"][k]),
                 }
             )
+        rows.extend(node_rows)
         by_cluster: dict = {}
-        for r in [r for r in rows if r["case"] == case.label]:
+        for r in node_rows:
             key = r["cluster"]
             agg = by_cluster.setdefault(key, {"chargers": 0, "plugs": 0})
             agg["chargers"] += r["chargers"]

@@ -189,12 +189,14 @@ def _catalog_from(cfg) -> ChargerCatalog:
 
 def _instance_from(args, cfg):
     network, profile, schedule, vehicles = _resolve_inputs(args, cfg)
+    with malformed_input(args.config):
+        catalog = _catalog_from(cfg)
     return prepare_instance(
         network,
         profile,
         schedule,
         vehicles,
-        catalog=_catalog_from(cfg),
+        catalog=catalog,
         scenario=_arg(args, cfg, "scenario", "A"),
         chargers=_arg(args, cfg, "chargers", "spc"),
         limits=GridLimits(
@@ -354,13 +356,17 @@ def _case_from_payload(doc: dict, base) -> StudyCase:
 
 def cmd_report(args) -> int:
     cfg = _load_config(args)
+    gap = SolverConfig(gap=_number(args, cfg, "gap", float, 0.10)).gap  # checked as a solve's
     docs = [_read_payload(path) for path in args.solutions]
     base = _instance_from(args, cfg)
     cases = []
     for path, doc in zip(args.solutions, docs):
         with malformed_input(path):
-            cases.append(_case_from_payload(doc, base))
-    report = build_report(cases, gap=_number(args, cfg, "gap", float, 0.10))
+            case = _case_from_payload(doc, base)
+        if any(c.label == case.label for c in cases):
+            raise ParameterError(f"{path}: a second plan for {case.label}")
+        cases.append(case)
+    report = build_report(cases, gap=gap)
     out = Path(_arg(args, cfg, "out", "."))
     out.mkdir(parents=True, exist_ok=True)
     write_csv(out / "charger_table.csv", report.charger_rows)

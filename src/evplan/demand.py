@@ -77,10 +77,10 @@ def _read_profile_csv(path: Path) -> tuple[list[int], np.ndarray]:
         reader = csv.reader(fh)
         header = next(reader, [])
         if not header or header[0] != "node":
-            raise ParameterError(f"{path}: first header column must be 'node'")
+            raise ParameterError("first header column must be 'node'")
         expected = [f"t{i}" for i in range(len(header) - 1)]
         if header[1:] != expected:
-            raise ParameterError(f"{path}: time columns must be t0..t{len(header) - 2}")
+            raise ParameterError(f"time columns must be t0..t{len(header) - 2}")
         nodes: list[int] = []
         rows: list[list[float]] = []
         for rec in reader:

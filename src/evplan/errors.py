@@ -64,10 +64,12 @@ class SolutionImportError(EvPlanError):
 @contextmanager
 def malformed_input(path):
     """Re-raise what a malformed input file makes a reader trip over (bad
-    JSON, a missing field, a value of the wrong type or shape) as a
+    JSON, a missing field, a value of the wrong type, shape or domain) as a
     ParameterError that names ``path``."""
     try:
         yield
+    except ParameterError as exc:
+        raise ParameterError(f"{path}: {exc}") from exc
     except KeyError as exc:
         raise ParameterError(f"{path}: missing field {exc}") from exc
     except (TypeError, ValueError) as exc:

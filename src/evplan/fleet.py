@@ -23,8 +23,8 @@ class ChargerCatalog:
     slow_plug_cost: float = 120.0  # 15% of the slow single-port price
 
     def __post_init__(self):
-        if not self.fast_kva > self.slow_kva > 0:
-            raise ParameterError("fast rating must exceed slow rating, both positive")
+        if not np.inf > self.fast_kva > self.slow_kva > 0:
+            raise ParameterError("fast rating must exceed slow rating, both positive and finite")
         for pf in (self.fast_pf, self.slow_pf):
             if not 0 < pf <= 1:
                 raise ParameterError("charger power factor outside (0, 1]")
@@ -34,8 +34,8 @@ class ChargerCatalog:
             self.fast_plug_cost,
             self.slow_plug_cost,
         ):
-            if c < 0:
-                raise ParameterError("charger costs must be non-negative")
+            if not 0 <= c < np.inf:
+                raise ParameterError("charger costs must be finite and non-negative")
 
     @property
     def fast_kw(self) -> float:
@@ -68,8 +68,8 @@ class Vehicle:
     stay_bounds: tuple[int, int, int, int] | None = None
 
     def __post_init__(self):
-        if self.battery_kwh <= 0:
-            raise ParameterError(f"vehicle {self.id}: battery capacity must be positive")
+        if not 0 < self.battery_kwh < np.inf:
+            raise ParameterError(f"vehicle {self.id}: battery capacity must be positive and finite")
         if not 0 < self.efficiency <= 1:
             raise ParameterError(f"vehicle {self.id}: efficiency outside (0, 1]")
         if not 0 <= self.soc_min < self.soc_max <= 1:
@@ -98,8 +98,8 @@ class FleetSchedule:
             raise ParameterError("discharge shape does not match parking tensor")
         if self.stay_bounds.shape != (self.parked.shape[0], 4):
             raise ParameterError("stay bounds must be (V, 4)")
-        if self.ts_hours <= 0:
-            raise ParameterError("sampling time must be positive")
+        if not 0 < self.ts_hours < np.inf:
+            raise ParameterError("sampling time must be positive and finite")
 
     @property
     def n_vehicles(self) -> int:
@@ -198,8 +198,8 @@ def generate_commute_fleet(
         raise ParameterError("fleet must contain at least one vehicle")
     if not home_nodes or not work_nodes:
         raise ParameterError("both node clusters must be non-empty")
-    if daily_energy_kwh <= 0:
-        raise ParameterError("daily energy demand must be positive")
+    if not 0 < daily_energy_kwh < np.inf:
+        raise ParameterError("daily energy demand must be positive and finite")
     if seed < 0:
         raise ParameterError("seed must be a non-negative integer")
     rng = np.random.default_rng(seed)

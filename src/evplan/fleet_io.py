@@ -16,19 +16,16 @@ import numpy as np
 from .errors import ParameterError, malformed_input
 from .fleet import FleetSchedule, Vehicle
 
+SCHEDULE_NAME = "schedule.csv"  # written next to fleet.json, which names it
 
-def dump_fleet(
-    schedule: FleetSchedule,
-    vehicles: list[Vehicle],
-    fleet_path: str | Path,
-    schedule_name: str = "schedule.csv",
-) -> None:
+
+def dump_fleet(schedule: FleetSchedule, vehicles: list[Vehicle], fleet_path: str | Path) -> None:
     fleet_path = Path(fleet_path)
     doc = {
         "ts_hours": schedule.ts_hours,
         "horizon": schedule.horizon,
         "node_ids": list(schedule.node_ids),
-        "schedule": schedule_name,
+        "schedule": SCHEDULE_NAME,
         "vehicles": [
             {
                 "id": v.id,
@@ -46,7 +43,7 @@ def dump_fleet(
     with open(fleet_path, "w") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")
-    with open(fleet_path.parent / schedule_name, "w", newline="") as fh:
+    with open(fleet_path.parent / SCHEDULE_NAME, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["vehicle", "t", "node", "discharge_kw"])
         for v in range(schedule.n_vehicles):
@@ -93,27 +90,30 @@ def load_fleet(fleet_path: str | Path) -> tuple[FleetSchedule, list[Vehicle]]:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != ["vehicle", "t", "node", "discharge_kw"]:
-            raise ParameterError(f"{sched_path}: unexpected header {header}")
+            raise ParameterError(f"unexpected header {header}")
         for rec in reader:
             if not rec:
                 continue
             v, t, node = int(rec[0]), int(rec[1]), int(rec[2])
             if not (0 <= v < V and 0 <= t < T):
-                raise ParameterError(f"{sched_path}: indices ({v},{t}) out of range")
+                raise ParameterError(f"indices ({v},{t}) out of range")
             if node != -1:
                 if node not in col:
-                    raise ParameterError(f"{sched_path}: unknown node {node}")
+                    raise ParameterError(f"unknown node {node}")
                 parked[v, t, col[node]] = True
             discharge[v, t] = float(rec[3])
             seen[v, t] = True
-    if not seen.all():
-        raise ParameterError(f"{sched_path}: missing (vehicle, t) rows")
+        if not seen.all():
+            raise ParameterError("missing (vehicle, t) rows")
+        if not np.isfinite(discharge).all():
+            raise ParameterError("discharge power must be finite")
 
-    schedule = FleetSchedule(
-        node_ids=node_ids,
-        parked=parked,
-        discharge_kw=discharge,
-        stay_bounds=bounds,
-        ts_hours=ts_hours,
-    )
+    with malformed_input(fleet_path):
+        schedule = FleetSchedule(
+            node_ids=node_ids,
+            parked=parked,
+            discharge_kw=discharge,
+            stay_bounds=bounds,
+            ts_hours=ts_hours,
+        )
     return schedule, vehicles

@@ -64,19 +64,23 @@ class BusNetwork:
         object.__setattr__(self, "_index", {b.id: i for i, b in enumerate(self.buses)})
         if self.slack_bus not in self._index:
             raise TopologyError(f"slack bus {self.slack_bus} not among buses")
-        if self.transformer_kva <= 0 or self.base_kva <= 0 or self.base_kv <= 0:
-            raise ParameterError("bases and transformer rating must be positive")
-        if self.slack_voltage_pu <= 0:
-            raise ParameterError("slack voltage must be positive")
+        if not all(0 < x < np.inf for x in (self.transformer_kva, self.base_kva, self.base_kv)):
+            raise ParameterError("bases and transformer rating must be positive and finite")
+        if not 0 < self.slack_voltage_pu < np.inf:
+            raise ParameterError("slack voltage must be positive and finite")
         for b in self.buses:
-            if b.rating_kva is not None and b.rating_kva <= 0:
-                raise ParameterError(f"bus {b.id}: rating must be strictly positive when given")
+            if not 0 < b.base_kv < np.inf:
+                raise ParameterError(f"bus {b.id}: base voltage must be positive and finite")
+            if b.rating_kva is not None and not 0 < b.rating_kva < np.inf:
+                raise ParameterError(f"bus {b.id}: rating must be positive and finite when given")
             if b.power_factor is not None and not 0 < b.power_factor <= 1:
                 raise ParameterError(f"bus {b.id}: power factor outside (0, 1]")
         for ln in self.lines:
             if ln.from_bus not in self._index or ln.to_bus not in self._index:
                 raise TopologyError(f"line {ln.name()} references unknown bus")
-            if ln.ampacity_a <= 0:
+            if not np.isfinite([ln.r_ohm, ln.x_ohm, ln.b_s]).all():
+                raise ParameterError(f"line {ln.name()}: impedance must be finite")
+            if not ln.ampacity_a > 0:  # inf: no limit
                 raise ParameterError(f"line {ln.name()}: ampacity must be positive")
         self._check_connected()
 

@@ -52,6 +52,11 @@ def test_totals_row_equals_column_sums(four_cases):
         assert sum(r["chargers"] for r in cluster_rows) == total["chargers"]
 
 
+def test_each_case_is_summed_from_its_own_rows(four_cases):
+    one = charger_table(four_cases[:1])
+    assert charger_table([four_cases[0], four_cases[0]]) == one + one
+
+
 def test_cost_orderings_hold_at_gap_zero(four_cases):
     costs, savings, ordering = cost_comparison(four_cases, gap=0.0)
     by = {c["case"]: c["cost"] for c in costs}

@@ -53,6 +53,13 @@ def test_non_positive_daily_energy_exits_2(tmp_path, capsys):
     assert not (tmp_path / "fleet.json").exists()
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_daily_energy_exits_2(value, tmp_path, capsys):
+    assert run_cli("generate", "--vehicles", 3, "--daily-kwh", value, "--out", tmp_path) == 2
+    assert "daily energy" in capsys.readouterr().err
+    assert not (tmp_path / "fleet.json").exists()
+
+
 def test_missing_grid_file_exits_2(tmp_path):
     rc = run_cli("generate", "--grid", tmp_path / "nope.json", "--out", tmp_path)
     assert rc == 2
@@ -118,6 +125,14 @@ MALFORMED = {
     "fleet-text-soc": ("fleet", lambda src: _edited(
         src / "fleet.json", lambda d: d["vehicles"][0].update(soc_min="x"))),
     "demand-text-cell": ("demand", lambda src: _bad_first_cell(src / "demand.csv")),
+    "fleet-nan-sampling-time": ("fleet", lambda src: _edited(
+        src / "fleet.json", lambda d: d.update(ts_hours=float("nan")))),
+    "fleet-infinite-battery": ("fleet", lambda src: _edited(
+        src / "fleet.json", lambda d: d["vehicles"][0].update(battery_kwh=float("inf")))),
+    "grid-nan-ampacity": ("grid", lambda src: _edited(
+        src / "grid.json", lambda d: d["lines"][0].update(ampacity_a=float("nan")))),
+    "grid-nan-transformer": ("grid", lambda src: _edited(
+        src / "grid.json", lambda d: d.update(transformer_kva=float("nan")))),
 }
 
 
@@ -134,6 +149,20 @@ def test_malformed_input_file_exits_2(case, tiny_files, tmp_path, capsys):
     args = [x for key, path in files.items() for x in (f"--{key}", path)]
     assert run_cli(command, *args, "--out", tmp_path / "out") == 2
     assert f"error: {bad}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["build", "solve"])
+def test_non_finite_discharge_in_schedule_exits_2(command, tiny_files, tmp_path, capsys):
+    src, _ = tiny_files
+    shutil.copy(src / "fleet.json", tmp_path)
+    header, *rows = (src / "schedule.csv").read_text().splitlines()
+    k = next(i for i, row in enumerate(rows) if row.split(",")[2] == "-1")  # a driving hour
+    rows[k] = ",".join(rows[k].split(",")[:3] + ["nan"])
+    (tmp_path / "schedule.csv").write_text("\n".join([header, *rows]) + "\n")
+    rc = run_cli(command, "--grid", src / "grid.json", "--demand", src / "demand.csv",
+                 "--fleet", tmp_path / "fleet.json", "--out", tmp_path / "out")
+    assert rc == 2
+    assert f"error: {tmp_path / 'schedule.csv'}: " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command, flag, value", [
@@ -158,6 +187,8 @@ def test_non_finite_number_exits_2(command, flag, value, tiny_files, tmp_path, c
     ("solve", {"v-min": "x"}),
     ("sweep", {"node-limit": "3"}),
     ("generate", {"vehicles": "x"}),
+    ("build", {"fast_kva": "x"}),
+    ("build", {"slow_plug_cost": float("nan")}),
 ])
 def test_config_number_of_wrong_type_exits_2(command, config, tiny_files, tmp_path, capsys):
     src, _ = tiny_files
@@ -343,6 +374,38 @@ def test_report_outputs(tiny_files, tmp_path):
     assert float(costs["spc-A"]) == pytest.approx(cost)
     assert (rep / "charger_table.csv").exists()
     assert (rep / "injections.csv").read_text().startswith("case,node,t,value")
+
+
+@pytest.fixture(scope="module")
+def solved_spc_a(tiny_files, tmp_path_factory):
+    src, _ = tiny_files
+    out = tmp_path_factory.mktemp("solved")
+    rc = run_cli("solve", "--grid", src / "grid.json", "--demand", src / "demand.csv",
+                 "--fleet", src / "fleet.json", "--scenario", "A", "--chargers", "spc",
+                 "--gap", 0, "--out", out)
+    assert rc == 0
+    return out / "solution_spc-A.json"
+
+
+@pytest.mark.parametrize("gap", ["nan", "-3", "inf"])
+def test_report_gap_outside_its_range_exits_2(gap, tiny_files, solved_spc_a, tmp_path, capsys):
+    src, _ = tiny_files
+    rc = run_cli("report", "--grid", src / "grid.json", "--demand", src / "demand.csv",
+                 "--fleet", src / "fleet.json", "--solutions", solved_spc_a, f"--gap={gap}",
+                 "--out", tmp_path)
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_report_of_one_configuration_twice_exits_2(tiny_files, solved_spc_a, tmp_path, capsys):
+    src, _ = tiny_files
+    rc = run_cli("report", "--grid", src / "grid.json", "--demand", src / "demand.csv",
+                 "--fleet", src / "fleet.json", "--solutions", solved_spc_a, solved_spc_a,
+                 "--out", tmp_path)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {solved_spc_a}: ") and "spc-A" in err
+    assert not (tmp_path / "charger_table.csv").exists()
 
 
 def test_report_missing_solution_exits_2(tiny_files, tmp_path):

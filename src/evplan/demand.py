@@ -88,6 +88,8 @@ def _read_profile_csv(path: Path) -> tuple[list[int], np.ndarray]:
                 continue
             nodes.append(int(rec[0]))
             rows.append([float(x) for x in rec[1:]])
+            if not np.isfinite(rows[-1]).all():
+                raise ParameterError(f"node {nodes[-1]}: demand must be finite")
     if not rows:
         raise ParameterError(f"{path}: no demand rows")
     widths = {len(r) for r in rows}

@@ -69,8 +69,6 @@ class BusNetwork:
         if not 0 < self.slack_voltage_pu < np.inf:
             raise ParameterError("slack voltage must be positive and finite")
         for b in self.buses:
-            if not 0 < b.base_kv < np.inf:
-                raise ParameterError(f"bus {b.id}: base voltage must be positive and finite")
             if b.rating_kva is not None and not 0 < b.rating_kva < np.inf:
                 raise ParameterError(f"bus {b.id}: rating must be positive and finite when given")
             if b.power_factor is not None and not 0 < b.power_factor <= 1:

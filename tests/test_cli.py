@@ -108,10 +108,10 @@ def _edited(path, edit):
     return json.dumps(doc)
 
 
-def _bad_first_cell(path):
+def _bad_first_cell(path, cell="abc"):
     header, first, *rest = path.read_text().splitlines()
     node, _, *cells = first.split(",")
-    return "\n".join([header, ",".join([node, "abc", *cells]), *rest]) + "\n"
+    return "\n".join([header, ",".join([node, cell, *cells]), *rest]) + "\n"
 
 
 # (input the file replaces, its text made from the good inputs in ``src``)
@@ -125,6 +125,7 @@ MALFORMED = {
     "fleet-text-soc": ("fleet", lambda src: _edited(
         src / "fleet.json", lambda d: d["vehicles"][0].update(soc_min="x"))),
     "demand-text-cell": ("demand", lambda src: _bad_first_cell(src / "demand.csv")),
+    "demand-nan-cell": ("demand", lambda src: _bad_first_cell(src / "demand.csv", "nan")),
     "fleet-nan-sampling-time": ("fleet", lambda src: _edited(
         src / "fleet.json", lambda d: d.update(ts_hours=float("nan")))),
     "fleet-infinite-battery": ("fleet", lambda src: _edited(

@@ -106,11 +106,12 @@ def jacobian(ybus: np.ndarray, v: np.ndarray, pq: np.ndarray) -> np.ndarray:
     ds_dva = 1j * diag_v @ np.conj(diag_i - ybus @ diag_v)
     ds_dvm = diag_vn @ np.conj(diag_i) + diag_v @ np.conj(ybus @ diag_vn)
     # Mismatch is spec - calc, so the Newton matrix is +d(calc)/dx.
-    j11 = ds_dva[np.ix_(pq, pq)].real
-    j12 = ds_dvm[np.ix_(pq, pq)].real
-    j21 = ds_dva[np.ix_(pq, pq)].imag
-    j22 = ds_dvm[np.ix_(pq, pq)].imag
-    return np.block([[j11, j12], [j21, j22]])
+    d_va, d_vm = ds_dva[np.ix_(pq, pq)], ds_dvm[np.ix_(pq, pq)]
+    m = len(pq)
+    j = np.empty((2 * m, 2 * m))
+    j[:m, :m], j[:m, m:] = d_va.real, d_vm.real
+    j[m:, :m], j[m:, m:] = d_va.imag, d_vm.imag
+    return j
 
 
 def _finish(network, ybus, v, p, q, mismatch) -> OperatingPoint:

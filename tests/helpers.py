@@ -2,13 +2,19 @@
 
 from __future__ import annotations
 
+import io
+import math
+
 import numpy as np
+import scipy.sparse as sp
 
 from evplan.demand import NetDemandProfile
 from evplan.fleet import ChargerCatalog, FleetSchedule, Vehicle
 from evplan.instance import PlanInstance, prepare_instance
 from evplan.linear_grid import GridLimits
 from evplan.loadflow import OperatingPoint, solve_load_flow
+from evplan.milp import MilpModel
+from evplan.mps_io import MODEL_NAME, OBJECTIVE
 from evplan.network import Bus, BusNetwork, Line
 from evplan.sensitivity import SensitivityCoefficients
 
@@ -239,3 +245,66 @@ def parent_walk_bounds(ref, lb0: np.ndarray, ub0: np.ndarray):
         lb[j] = max(lb[j], lo)
         ub[j] = min(ub[j], hi)
     return lb, ub
+
+
+def reference_mps_text(model: MilpModel) -> str:
+    """The MPS text of ``model`` written one formatted number per matrix
+    entry: the reference that ``mps_io.export_mps`` must match byte for
+    byte."""
+    rows = [f"R{k:07d}" for k in range(1, model.n_rows + 1)]
+    cols = [f"C{k:07d}" for k in range(1, model.n_cols + 1)]
+
+    def marker(k: int, opens: bool) -> str:
+        return f"    MARKER{k:04d}  'MARKER'                 '{'INTORG' if opens else 'INTEND'}'\n"
+
+    fields = [f"{name:<8}  " for name in [OBJECTIVE] + rows]
+    A = sp.vstack([sp.csr_matrix(model.obj), model.A], format="csc")
+    empty = [f"{fields[0]}{0.0:12.12G}"]
+    fh = io.StringIO()
+    fh.write(f"NAME          {MODEL_NAME}\nROWS\n N  {OBJECTIVE}\n")
+    fh.writelines(f" {sense}  {name}\n" for sense, name in zip(model.row_sense, rows))
+    fh.write("COLUMNS\n")
+    n_marker, in_int = 0, False
+    ptr = A.indptr.tolist()
+    for cn, integral, p0, p1 in zip(cols, model.is_int.tolist(), ptr, ptr[1:]):
+        if integral != in_int:
+            in_int = integral
+            fh.write(marker(n_marker, in_int))
+            n_marker += 1
+        cells = [
+            f"{fields[i]}{v:12.12G}"
+            for i, v in zip(A.indices[p0:p1].tolist(), A.data[p0:p1].tolist())
+        ] or empty
+        fh.writelines(f"    {cn}  {'   '.join(cells[a:a + 2])}\n" for a in range(0, len(cells), 2))
+    if in_int:
+        fh.write(marker(n_marker, False))
+
+    fh.write("RHS\n")
+    nz = np.flatnonzero(model.rhs != 0.0)
+    fh.writelines(
+        f"    RHS       {rows[i]}  {b:12.12G}\n" for i, b in zip(nz.tolist(), model.rhs[nz].tolist())
+    )
+    fh.write("BOUNDS\n")
+    for cn, lo, hi, integral in zip(cols, model.lb.tolist(), model.ub.tolist(), model.is_int.tolist()):
+        if lo == hi:
+            fh.write(f" FX BND       {cn}  {lo:12.12G}\n")
+        elif lo == -math.inf and hi == math.inf:
+            fh.write(f" FR BND       {cn}\n")
+        else:
+            if lo == -math.inf:
+                fh.write(f" MI BND       {cn}\n")
+            elif lo != 0.0:
+                fh.write(f" LO BND       {cn}  {lo:12.12G}\n")
+            if hi != math.inf:
+                fh.write(f" UP BND       {cn}  {hi:12.12G}\n")
+            elif integral or lo != 0.0:
+                fh.write(f" PL BND       {cn}\n")
+    fh.write("ENDATA\n")
+    return fh.getvalue()
+
+
+def reference_solution_text(model: MilpModel, x: np.ndarray) -> str:
+    """``column-name value`` lines formatted one value at a time: the
+    reference for ``mps_io.write_solution_file``."""
+    cols = [f"C{k:07d}" for k in range(1, model.n_cols + 1)]
+    return "".join(f"{cn} {v:.12g}\n" for cn, v in zip(cols, np.asarray(x).tolist()))

@@ -6,15 +6,18 @@ import pytest
 from evplan.bnb import SolverConfig, solve_bnb
 from evplan.builder import build_plan_model
 from evplan.errors import SolutionImportError
+from evplan.fleet import generate_commute_fleet
+from evplan.instance import prepare_instance
 from evplan.milp import BINARY, CONTINUOUS, SENSE_EQ, SENSE_GE, SENSE_LE, MilpModel
 from evplan.mps_io import (
+    CHUNK,
     export_mps,
     import_solution,
     parse_mps,
     write_solution_file,
 )
 
-from helpers import tiny_instance
+from helpers import reference_mps_text, reference_solution_text, tiny_instance
 
 
 @pytest.fixture(scope="module")
@@ -209,3 +212,64 @@ def test_export_text_of_edge_cases(tmp_path):
     assert doc["columns"]["C0000001"] == {"name": "b0", "family": None, "indices": None}
     assert doc["columns"]["C0000008"] == {"name": "y[0]", "family": "y", "indices": [0]}
     assert len(doc["columns"]) == 8
+
+
+# 0.1234567890123 and the next float up print alike to 12 digits.
+ALIKE = 0.1234567890123
+COEFFICIENTS = [1.0, -1.0, 2.5, 1.0 / 3.0, 1e15, 1.5e-7, -123456.789012, ALIKE, np.nextafter(ALIKE, 1.0)]
+
+
+def random_model(seed: int) -> MilpModel:
+    """Repeated coefficients from a small pool next to distinct random
+    ones, fixed bounds at -0.0 and 0.0, an empty first and last column
+    (the first with an objective of -0.0), one binary block opening at
+    column 0 and one running to the last column, and more matrix entries
+    than one write chunk."""
+    rng = np.random.default_rng(seed)
+    n_cols, n_rows = 240, 60
+    model = MilpModel()
+    lows = [0.0, -np.inf, 2.0, -0.0, 0.0, -3.5]
+    highs = [np.inf, 7.0, 2.0, -0.0, 0.0, np.inf]
+    for j in range(n_cols):
+        if j < 12 or j >= n_cols - 10 or rng.random() < 0.2:
+            model.add_column(f"b{j}", BINARY, 0, 1)
+        else:
+            k = int(rng.integers(len(lows)))
+            model.add_column(f"x{j}", CONTINUOUS, lows[k], highs[k])
+    inner = np.arange(1, n_cols - 1)
+    model.set_objective(inner[::3], rng.choice(COEFFICIENTS, size=len(inner[::3])))
+    model.set_objective(0, -0.0)  # an objective of -0.0 leaves a column empty
+    for i in range(n_rows):
+        cols = rng.choice(inner, size=90, replace=False)
+        vals = np.where(rng.random(90) < 0.7, rng.choice(COEFFICIENTS, size=90), rng.normal(size=90))
+        model.add_row(f"r{i}", zip(cols.tolist(), vals.tolist()), rng.choice([SENSE_LE, SENSE_GE, SENSE_EQ]),
+                      float(rng.choice([0.0, -0.0, 4.0, ALIKE, rng.normal()])))
+    model.freeze()
+    assert model.A.nnz > CHUNK
+    return model
+
+
+def desk_model(network, demand, chargers: str, scenario: str) -> MilpModel:
+    schedule, vehicles = generate_commute_fleet(
+        network.cluster_nodes(1), network.cluster_nodes(2), 17, seed=42)
+    return build_plan_model(prepare_instance(
+        network, demand, schedule, vehicles, scenario=scenario, chargers=chargers))
+
+
+@pytest.mark.parametrize(
+    "case", ["edge", "random-0", "random-1", "random-2", "spc-A", "spc-B", "mpc-A", "mpc-B"])
+def test_export_matches_reference_writer(tmp_path, cigre_network, cigre_demand, case):
+    if case == "edge":
+        model = edge_model()
+    elif case.startswith("random"):
+        model = random_model(int(case.split("-")[1]))
+    else:
+        model = desk_model(cigre_network, cigre_demand, *case.split("-"))
+    export_mps(model, tmp_path / "model.mps")
+    assert (tmp_path / "model.mps").read_bytes() == reference_mps_text(model).encode()
+
+    rng = np.random.default_rng(len(case))
+    x = rng.choice([0.0, 1.0, -0.0, 0.5, 1.0 / 3.0, ALIKE, np.nextafter(ALIKE, 1.0)], size=model.n_cols)
+    x[::7] = rng.random(len(x[::7]))
+    write_solution_file(model, x, tmp_path / "sol.txt")
+    assert (tmp_path / "sol.txt").read_bytes() == reference_solution_text(model, x).encode()

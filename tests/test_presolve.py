@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from scipy.optimize import LinearConstraint, milp
@@ -8,6 +10,8 @@ from evplan.instance import prepare_instance
 from evplan.milp import BINARY, CONTINUOUS, MilpModel
 from evplan.presolve import presolve
 from evplan.simplex import solve_lp
+
+from helpers import tiny_instance
 
 
 def test_forcing_row_fixes_binaries():
@@ -160,6 +164,22 @@ def test_random_milp_presolve_preserves_optimum(trial):
         assert not m.check_point(mine.x, tol=1e-6)
 
 
+def reduced_digest(red) -> str:
+    """sha256 over every field of a reduced model, bit for bit: the CSR
+    arrays, the row and column vectors (signed zeros included), the senses,
+    the column members and the objective offset's repr."""
+    h = hashlib.sha256()
+    for arr in (red.A.indptr, red.A.indices):
+        h.update(np.asarray(arr, dtype=np.int64).tobytes())
+    for arr in (red.A.data, red.rhs, red.lb, red.ub, red.obj):
+        h.update(np.asarray(arr, dtype=np.float64).tobytes())
+    h.update(np.asarray(red.is_int, dtype=bool).tobytes())
+    h.update("".join(red.senses).encode())
+    h.update(repr(red.members).encode())
+    h.update(repr(red.obj_offset).encode())
+    return h.hexdigest()
+
+
 # Presolved (rows, columns, nonzeros) of the desk model: bundled grid,
 # 17 commuting vehicles, seed 42.
 DESK_PRESOLVED = {
@@ -168,16 +188,56 @@ DESK_PRESOLVED = {
     ("mpc", "A"): (1571, 435, 10358),
     ("mpc", "B"): (2121, 1163, 11814),
 }
+# reduced_digest of the same four models.
+DESK_DIGESTS = {
+    ("spc", "A"): "a92f8bd8510c16102d045866f50a5729a54851390f8779d6d8bba1cd501e9df0",
+    ("spc", "B"): "d275ce0782e860caa39d8cc04c335fe5bf738ad5fe06db28eb986f5505469c19",
+    ("mpc", "A"): "b860998e81f4faa86a255d439e5a9307a7a2cffdf60fa01a0318a544b2b53bc3",
+    ("mpc", "B"): "4d3d2368cccab62fe160804d09ad22dae750e1c055a5fba87c145c3942e8fed3",
+}
 
 
 def test_desk_model_presolved_size_is_pinned(cigre_network, cigre_demand):
     sched, vehicles = generate_commute_fleet(
         cigre_network.cluster_nodes(1), cigre_network.cluster_nodes(2), 17, seed=42
     )
-    got = {}
+    got, digests = {}, {}
     for chargers, scenario in DESK_PRESOLVED:
         inst = prepare_instance(cigre_network, cigre_demand, sched, vehicles,
                                 scenario=scenario, chargers=chargers)
         red = presolve(build_plan_model(inst)).reduced
         got[(chargers, scenario)] = (red.n_rows, red.n_cols, red.A.nnz)
+        digests[(chargers, scenario)] = reduced_digest(red)
     assert got == DESK_PRESOLVED
+    assert digests == DESK_DIGESTS
+
+
+# reduced_digest of the tiny models whose search test_bnb pins.
+TINY_DIGESTS = {
+    (1000, "spc", "A"): "897c9e6197ce4570dd2c06acca49ea5a64393bdc06e7167b05b40ffa1de23583",
+    (1000, "spc", "B"): "897c9e6197ce4570dd2c06acca49ea5a64393bdc06e7167b05b40ffa1de23583",
+    (1000, "mpc", "A"): "5f601e1c3eec052b9cfa842ecec37387a9c142e5a7b944d2255e8f919fcf4509",
+    (1000, "mpc", "B"): "5f601e1c3eec052b9cfa842ecec37387a9c142e5a7b944d2255e8f919fcf4509",
+    (1001, "spc", "A"): "7def07ff27b0b42360eac743589459c3847ec4cb61e668743a77e6962dca14a5",
+    (1001, "spc", "B"): "7def07ff27b0b42360eac743589459c3847ec4cb61e668743a77e6962dca14a5",
+    (1001, "mpc", "A"): "757d65ffeb2a070ef6c25b0f7d8c29da036844b1e0505f3c96b8516402776c70",
+    (1001, "mpc", "B"): "757d65ffeb2a070ef6c25b0f7d8c29da036844b1e0505f3c96b8516402776c70",
+    (1002, "spc", "A"): "3fb11884d60517526738e5cf1ee69e632eebae9f3667d9d3d9fad4342e015496",
+    (1002, "spc", "B"): "3fb11884d60517526738e5cf1ee69e632eebae9f3667d9d3d9fad4342e015496",
+    (1002, "mpc", "A"): "f47ad4a4ac0a1bd842df9e9bef571543912ed2a2212b24b529d21dc8c995c0cf",
+    (1002, "mpc", "B"): "f47ad4a4ac0a1bd842df9e9bef571543912ed2a2212b24b529d21dc8c995c0cf",
+    (1003, "spc", "A"): "1ba7e7dba3d883755d5d0f2a72b2f5096df7fc0cc051219430b99ab396d6255e",
+    (1003, "spc", "B"): "1ba7e7dba3d883755d5d0f2a72b2f5096df7fc0cc051219430b99ab396d6255e",
+    (1003, "mpc", "A"): "5e00a5be5b7769593029d8ec02d09376f6301e3953bb93a3114b0a850b5776d9",
+    (1003, "mpc", "B"): "5e00a5be5b7769593029d8ec02d09376f6301e3953bb93a3114b0a850b5776d9",
+}
+
+
+@pytest.mark.parametrize("seed", [1000, 1001, 1002, 1003])
+def test_tiny_reduced_models_are_pinned(seed):
+    got = {}
+    for chargers, scenario in DESK_PRESOLVED:
+        red = presolve(build_plan_model(
+            tiny_instance(seed=seed, scenario=scenario, chargers=chargers))).reduced
+        got[(seed, chargers, scenario)] = reduced_digest(red)
+    assert got == {k: v for k, v in TINY_DIGESTS.items() if k[0] == seed}

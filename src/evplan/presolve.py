@@ -17,6 +17,13 @@ below discovers all of that generically:
    satisfiable for any value of the remaining variables,
  * empty columns move to their cheapest bound.
 
+The state is numpy arrays: the live matrix entries as COO arrays in row
+order, per-row sense, right-hand side and liveness, per-column bounds,
+cost, integrality and liveness. The propagation sweep is one vectorized
+Jacobi step over all live rows: row activities are summed in entry order
+with the infinite terms counted apart, each entry yields a candidate bound
+for its column, and each column takes the tightest of its candidates.
+
 A merged or removed column is retired by emptying its member list; the
 merge target or the removal record carries its original columns. Postsolve
 replays the recorded transforms to recover a full assignment.
@@ -25,7 +32,7 @@ replays the recorded transforms to recover a full assignment.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import ceil, copysign, floor, inf, isfinite
+from math import inf, isfinite
 
 import numpy as np
 import scipy.sparse as sp
@@ -34,13 +41,6 @@ from .milp import SENSE_EQ, SENSE_GE, SENSE_LE, MilpModel
 
 FEAS_TOL = 1e-9
 MAX_PASSES = 30
-
-
-def _integral(rounding, v: float) -> float:
-    """``rounding`` (``round``, ``floor`` or ``ceil``) of ``v`` as
-    the float numpy's scalar rounding gives: the sign of ``v`` is kept on a
-    zero result (-0.3 rounds to -0.0) and non-finite values pass through."""
-    return copysign(rounding(v), v) if isfinite(v) else v
 
 
 @dataclass
@@ -93,13 +93,13 @@ class PresolveResult:
             else:
                 val = min(hi, residual / a)
             if integral:
-                val = _integral(round, val)
+                val = np.round(val)
             x[cols] = min(max(val, lo), hi)
         return x
 
 
 def presolve(model: MilpModel) -> PresolveResult:
-    work = _Working.from_model(model)
+    work = _Working(model)
     for _ in range(MAX_PASSES):
         changed = work.one_pass()
         if work.infeasible:
@@ -117,91 +117,63 @@ def presolve(model: MilpModel) -> PresolveResult:
 
 
 class _Working:
-    """Mutable presolve state over COO-style entry lists."""
+    """Mutable presolve state on arrays. The entries (``row``, ``col``,
+    ``val``) stay sorted by row, each row's in the order it first had them;
+    a live column is neither fixed nor retired."""
 
-    def __init__(self, rows, senses, rhs, lb, ub, obj, is_int, members):
-        self.rows = rows  # list of dict col -> coef
-        self.senses = senses
-        self.rhs = rhs
-        self.lb = lb
-        self.ub = ub
-        self.obj = obj
-        self.is_int = is_int
-        self.members = members
+    def __init__(self, model: MilpModel):
+        A = model.A.tocsr()
+        m, n = A.shape
+        self.row = np.repeat(np.arange(m), np.diff(A.indptr))
+        self.col = A.indices.astype(np.int64)
+        self.val = A.data.astype(float)
+        self.senses = np.asarray(model.row_sense, dtype="U1")
+        self.rhs = np.array(model.rhs, dtype=float)
+        self.row_live = np.ones(m, dtype=bool)
+        self.lb = np.array(model.lb, dtype=float)
+        self.ub = np.array(model.ub, dtype=float)
+        self.obj = np.array(model.obj, dtype=float)
+        self.is_int = np.array(model.is_int, dtype=bool)
+        self.col_live = np.ones(n, dtype=bool)
+        self.members = [[j] for j in range(n)]
         self.obj_offset = 0.0
         self.fixed: dict[int, float] = {}
         self.singles: list[tuple] = []
         self.infeasible = False
 
-    @classmethod
-    def from_model(cls, model: MilpModel):
-        A = model.A.tocsr()
-        ptr = A.indptr.tolist()
-        rows = [dict() for _ in range(model.n_rows)]
-        # Row by row, so that only one row's entries exist as Python objects
-        # besides the dicts being built.
-        for r, row in enumerate(rows):
-            lo, hi = ptr[r], ptr[r + 1]
-            for c, v in zip(A.indices[lo:hi].tolist(), A.data[lo:hi].tolist()):
-                row[c] = row.get(c, 0.0) + v
-        return cls(
-            rows=rows,
-            senses=list(model.row_sense),
-            rhs=np.asarray(model.rhs, dtype=float).tolist(),
-            lb=np.asarray(model.lb, dtype=float).tolist(),
-            ub=np.asarray(model.ub, dtype=float).tolist(),
-            obj=np.asarray(model.obj, dtype=float).tolist(),
-            is_int=np.asarray(model.is_int, dtype=bool).tolist(),
-            members=[[j] for j in range(model.n_cols)],
-        )
-
     # -- helpers ---------------------------------------------------------
 
     def _fix(self, col, val):
-        lo, hi = self.lb[col], self.ub[col]
-        val = min(max(val, lo), hi)
+        val = min(max(val, self.lb[col]), self.ub[col])
         if self.is_int[col]:
-            val = _integral(round, val)
+            val = np.round(val)  # keeps the sign of a zero result
+        val = float(val)
         self.fixed[col] = val
-        self.obj_offset += self.obj[col] * val
+        self.obj_offset += float(self.obj[col]) * val
         self.lb[col] = self.ub[col] = val
+        self.col_live[col] = False
 
-    def _col_usage(self):
-        usage: dict[int, list[int]] = {}
-        for r, row in enumerate(self.rows):
-            if row is None:
-                continue
-            for c in row:
-                usage.setdefault(c, []).append(r)
-        return usage
+    def _keep_entries(self, keep):
+        self.row, self.col, self.val = self.row[keep], self.col[keep], self.val[keep]
 
-    def _min_max_activity(self, row):
-        lo = hi = 0.0
-        lb, ub = self.lb, self.ub
-        for c, a in row.items():
-            l, u = lb[c], ub[c]
-            if a > 0:
-                lo += a * l if isfinite(l) else -inf
-                hi += a * u if isfinite(u) else inf
-            else:
-                lo += a * u if isfinite(u) else -inf
-                hi += a * l if isfinite(l) else inf
-        return lo, hi
+    def _drop_rows(self, rows):
+        self.row_live[rows] = False
+        self._keep_entries(self.row_live[self.row])
 
-    def _tighten(self, col, lo=None, hi=None) -> bool:
-        changed = False
-        if lo is not None and lo > self.lb[col] + FEAS_TOL:
-            self.lb[col] = lo
-            changed = True
-        if hi is not None and hi < self.ub[col] - FEAS_TOL:
-            self.ub[col] = hi
-            changed = True
-        if self.is_int[col] and changed:
-            self.lb[col] = _integral(ceil, self.lb[col] - 1e-7)
-            self.ub[col] = _integral(floor, self.ub[col] + 1e-7)
-        if self.lb[col] > self.ub[col] + FEAS_TOL:
-            self.infeasible = True
-        return changed
+    def _terms(self):
+        """Each entry's smallest and largest term ``a*x`` over its column's
+        bounds."""
+        pos = self.val > 0
+        lb, ub = self.lb[self.col], self.ub[self.col]
+        return self.val * np.where(pos, lb, ub), self.val * np.where(pos, ub, lb)
+
+    def _row_sums(self, terms):
+        """Per row, the sum of its entries' finite ``terms`` in entry order,
+        and the count of its infinite ones."""
+        m = len(self.rhs)
+        finite = np.isfinite(terms)
+        sums = np.bincount(self.row[finite], terms[finite], minlength=m)
+        return sums.astype(float), np.bincount(self.row[~finite], minlength=m)
 
     # -- one full pass -----------------------------------------------------
 
@@ -217,25 +189,20 @@ class _Working:
         return changed
 
     def _substitute_fixed(self) -> bool:
-        changed = False
-        lb, ub = self.lb, self.ub
-        for r, row in enumerate(self.rows):
-            if row is None:
-                continue
-            hit = [c for c in row if lb[c] == ub[c]]
-            for c in hit:
-                self.rhs[r] -= row.pop(c) * lb[c]
-                changed = True
+        hit = self.lb[self.col] == self.ub[self.col]
+        np.subtract.at(self.rhs, self.row[hit], self.val[hit] * self.lb[self.col[hit]])
+        self._keep_entries(~hit)
         # Live columns not yet recorded as fixed (e.g. bounds collapsed by
         # tightening) get a fix record now.
-        for c in range(len(self.lb)):
-            if self.lb[c] == self.ub[c] and c not in self.fixed and self.members[c]:
-                self._fix(c, self.lb[c])
-                changed = True
-        return changed
+        collapsed = np.flatnonzero(self.col_live & (self.lb == self.ub)).tolist()
+        for c in collapsed:
+            self._fix(c, self.lb[c])
+        return bool(hit.any() or collapsed)
 
     def _propagate(self) -> bool:
-        """Bound tightening from row activities, one sweep over the live rows.
+        """Bound tightening from row activities, one Jacobi sweep over the
+        live rows: every activity and candidate bound is read from the
+        bounds the sweep starts with.
 
         Each variable must fit in the slack the other variables leave at
         their loosest: the upper side of a <= or = row, the lower side of a
@@ -245,44 +212,46 @@ class _Working:
         equipment choices whose single use already overshoots a battery
         (one fast-charger hour on a small pack).
         """
-        changed = False
-        lb, ub = self.lb, self.ub
-        for r, row in enumerate(self.rows):
-            if row is None:
-                continue
-            sense, b = self.senses[r], self.rhs[r]
-            lo, hi = self._min_max_activity(row)
-            upper, lower = sense != SENSE_GE, sense != SENSE_LE
-            if (upper and lo > b + FEAS_TOL) or (lower and hi < b - FEAS_TOL):
-                self.infeasible = True
-                return True
-            if (not upper or hi <= b + FEAS_TOL) and (not lower or lo >= b - FEAS_TOL):
-                self.rows[r] = None  # every bound satisfies it
-                changed = True
-                continue
-            # The activities stay as computed above while the row's columns
-            # move; each column's own term is read afresh.
-            single = len(row) == 1
-            if upper and (single or isfinite(lo)):
-                for c, a in row.items():
-                    rest = 0.0 if single else lo - (a * lb[c] if a > 0 else a * ub[c])
-                    if a > 0:
-                        changed |= self._tighten(c, hi=(b - rest) / a)
-                    else:
-                        changed |= self._tighten(c, lo=(b - rest) / a)
-            if lower and (single or isfinite(hi)):
-                for c, a in row.items():
-                    rest = 0.0 if single else hi - (a * ub[c] if a > 0 else a * lb[c])
-                    if a > 0:
-                        changed |= self._tighten(c, lo=(b - rest) / a)
-                    else:
-                        changed |= self._tighten(c, hi=(b - rest) / a)
-            if self.infeasible:
-                return True
-            if single:
-                self.rows[r] = None
-                changed = True
-        return changed
+        row, col, val, b = self.row, self.col, self.val, self.rhs
+        tmin, tmax = self._terms()
+        (lo, lo_inf), (hi, hi_inf) = self._row_sums(tmin), self._row_sums(tmax)
+        lo[lo_inf > 0], hi[hi_inf > 0] = -inf, inf
+        live = self.row_live
+        upper, lower = self.senses != SENSE_GE, self.senses != SENSE_LE
+        if np.any(live & ((upper & (lo > b + FEAS_TOL)) | (lower & (hi < b - FEAS_TOL)))):
+            self.infeasible = True
+            return True
+        # Rows that every bound satisfies tighten nothing and are dropped.
+        slack = live & (~upper | (hi <= b + FEAS_TOL)) & (~lower | (lo >= b - FEAS_TOL))
+        single = np.bincount(row, minlength=len(b)) == 1
+        lb_new = np.full(len(self.lb), -inf)
+        ub_new = np.full(len(self.ub), inf)
+        for side, act, own in ((upper, lo, tmin), (lower, hi, tmax)):
+            use = (live & ~slack & side & (single | np.isfinite(act)))[row]
+            r, a = row[use], val[use]
+            # The other columns' part of the activity: the row's minus the
+            # entry's own term, none in a one-column row.
+            one = single[r]
+            rest = np.where(one, 0.0, act[r]) - np.where(one, 0.0, own[use])
+            bound = (b[r] - rest) / a
+            # The upper side caps a column with a positive coefficient and
+            # lifts one with a negative coefficient; the lower side the reverse.
+            caps = (a > 0) == (side is upper)
+            np.minimum.at(ub_new, col[use][caps], bound[caps])
+            np.maximum.at(lb_new, col[use][~caps], bound[~caps])
+        raised = lb_new > self.lb + FEAS_TOL
+        cut = ub_new < self.ub - FEAS_TOL
+        self.lb[raised] = lb_new[raised]
+        self.ub[cut] = ub_new[cut]
+        rounded = (raised | cut) & self.is_int
+        self.lb[rounded] = np.ceil(self.lb[rounded] - 1e-7)
+        self.ub[rounded] = np.floor(self.ub[rounded] + 1e-7)
+        if np.any(self.lb > self.ub + FEAS_TOL):
+            self.infeasible = True
+            return True
+        dropped = slack | (live & single)
+        self._drop_rows(dropped)
+        return bool(raised.any() or cut.any() or dropped.any())
 
     def _merge_doubletons(self) -> bool:
         # Collect x <= y implications from rows  a x - a y <= 0  (and the
@@ -306,17 +275,18 @@ class _Working:
             parent[rb] = ra
             return ra
 
+        count = np.bincount(self.row, minlength=len(self.rhs))
+        rows = np.flatnonzero((count == 2) & (np.abs(self.rhs) <= FEAS_TOL))
+        first = np.searchsorted(self.row, rows)
+        a1, a2 = self.val[first], self.val[first + 1]
+        opposed = np.abs(a1 + a2) <= 1e-12 * np.maximum(np.abs(a1), np.abs(a2))
+        # Each row's entry with the positive coefficient, and the other one.
+        pos_e = np.where(a1 > 0, first, first + 1)[opposed]
+        neg_e = np.where(a1 > 0, first + 1, first)[opposed]
         implications: dict[tuple[int, int], set[str]] = {}
         merge_rows = []
-        for r, row in enumerate(self.rows):
-            if row is None or len(row) != 2:
-                continue
-            if abs(self.rhs[r]) > FEAS_TOL:
-                continue
-            (c1, a1), (c2, a2) = row.items()
-            if abs(a1 + a2) > 1e-12 * max(abs(a1), abs(a2)):
-                continue
-            pos, neg = (c1, c2) if a1 > 0 else (c2, c1)
+        for r, pos, neg in zip(rows[opposed].tolist(), self.col[pos_e].tolist(),
+                               self.col[neg_e].tolist()):
             sense = self.senses[r]
             if sense == SENSE_EQ:
                 union(pos, neg)
@@ -337,9 +307,8 @@ class _Working:
             groups.setdefault(find(c), []).append(c)
         if not groups:
             return False
-        for r in merge_rows:
-            self.rows[r] = None
-        remap = {}
+        self._drop_rows(merge_rows)
+        remap = np.arange(len(self.lb))
         for root, extra in groups.items():
             cols = sorted(set(extra) | {root})
             keep = cols[0]
@@ -347,6 +316,7 @@ class _Working:
                 remap[c] = keep
                 self.members[keep].extend(self.members[c])
                 self.members[c] = []
+                self.col_live[c] = False
                 self.obj[keep] += self.obj[c]
                 self.is_int[keep] = self.is_int[keep] or self.is_int[c]
                 lo = max(self.lb[keep], self.lb[c])
@@ -355,79 +325,91 @@ class _Working:
                     self.infeasible = True
                     return True
                 self.lb[keep], self.ub[keep] = lo, hi
-        for row in self.rows:
-            if row is None:
-                continue
-            for c in [c for c in row if c in remap]:
-                row[remap[c]] = row.get(remap[c], 0.0) + row.pop(c)
-            for c in [c for c, a in row.items() if a == 0.0]:
-                row.pop(c)
+        self._remap_entries(remap)
         return True
 
+    def _remap_entries(self, remap):
+        """Rename every entry's column through ``remap`` and sum the entries
+        a row then holds twice: the kept column's own coefficient first,
+        then the renamed ones in row order. The sum takes the place of the
+        kept column's own entry, or goes to the row's end when the row had
+        none. Zero sums are dropped."""
+        n = len(self.lb)
+        col = remap[self.col]
+        renamed = col != self.col
+        keys, group = np.unique(self.row * n + col, return_inverse=True)
+        at_end = np.ones(len(keys), dtype=bool)
+        at_end[group[~renamed]] = False
+        place = np.full(len(keys), len(col))
+        lead = renamed == at_end[group]
+        np.minimum.at(place, group[lead], np.flatnonzero(lead))
+        first = np.argsort(renamed, kind="stable")
+        val = np.bincount(group[first], self.val[first], minlength=len(keys))
+        order = np.lexsort((place, at_end, keys // n))
+        self.row, self.col, self.val = keys[order] // n, keys[order] % n, val[order]
+        self._keep_entries(self.val != 0.0)
+
     def _drop_inert_singletons(self) -> bool:
-        usage = self._col_usage()
-        changed = False
-        for c, used_in in usage.items():
-            if len(used_in) != 1 or self.obj[c] != 0.0 or c in self.fixed:
-                continue
-            r = used_in[0]
-            row = self.rows[r]
-            if row is None or c not in row:
-                continue
-            a = row[c]
-            sense, b = self.senses[r], self.rhs[r]
-            others = {k: v for k, v in row.items() if k != c}
-            lo_o, hi_o = self._min_max_activity(others)
-            lo_c, hi_c = self.lb[c], self.ub[c]
-            if self.is_int[c]:
-                integral_ok = abs(abs(a) - 1.0) < 1e-12 and all(
-                    abs(v - round(v)) < 1e-12 for v in others.values()
-                ) and abs(b - round(b)) < 1e-12 and all(self.is_int[k] for k in others)
-                if not integral_ok:
-                    continue
-            reach_hi = a * hi_c if a > 0 else a * lo_c  # max of a*x_c
-            reach_lo = a * lo_c if a > 0 else a * hi_c
-            if sense == SENSE_GE:
-                ok = reach_hi == inf or (
-                    isfinite(lo_o) and reach_hi >= b - lo_o - FEAS_TOL
-                )
-            elif sense == SENSE_LE:
-                ok = reach_lo == -inf or (
-                    isfinite(hi_o) and reach_lo <= b - hi_o + FEAS_TOL
-                )
-            else:
-                ok = (
-                    isfinite(lo_o)
-                    and isfinite(hi_o)
-                    and reach_lo <= b - hi_o + FEAS_TOL
-                    and reach_hi >= b - lo_o - FEAS_TOL
-                )
-            if not ok:
-                continue
-            rep_others = [(self.members[k][0], v) for k, v in others.items()]
+        # A zero-cost column in one row only leaves with that row when some
+        # value in its bounds meets the row for any values of the others.
+        # Each row loses at most its first such column.
+        row, col, val = self.row, self.col, self.val
+        uses = np.bincount(col, minlength=len(self.lb))
+        cand = np.flatnonzero((uses[col] == 1) & (self.obj[col] == 0.0) & self.col_live[col])
+        if not cand.size:
+            return False
+        tmin, tmax = self._terms()
+        (lo, lo_inf), (hi, hi_inf) = self._row_sums(tmin), self._row_sums(tmax)
+        r, c, a, b = row[cand], col[cand], val[cand], self.rhs[row[cand]]
+        # The other columns' activity range: the row's without the own term.
+        own_lo, own_hi = tmin[cand], tmax[cand]
+        lo_o = np.where(lo_inf[r] > ~np.isfinite(own_lo), -inf,
+                        lo[r] - np.where(np.isfinite(own_lo), own_lo, 0.0))
+        hi_o = np.where(hi_inf[r] > ~np.isfinite(own_hi), inf,
+                        hi[r] - np.where(np.isfinite(own_hi), own_hi, 0.0))
+        # An integer column leaves only a row of unit own coefficient and
+        # integer data over integer columns.
+        fractional = (np.abs(val - np.round(val)) >= 1e-12) | ~self.is_int[col]
+        integral = (
+            (np.abs(np.abs(a) - 1.0) < 1e-12)
+            & (np.bincount(row[fractional], minlength=len(self.rhs))[r] == 0)
+            & (np.abs(b - np.round(b)) < 1e-12)
+        )
+        sense = self.senses[r]
+        absorbs_ge = (own_hi == inf) | (np.isfinite(lo_o) & (own_hi >= b - lo_o - FEAS_TOL))
+        absorbs_le = (own_lo == -inf) | (np.isfinite(hi_o) & (own_lo <= b - hi_o + FEAS_TOL))
+        absorbs_eq = (np.isfinite(lo_o) & np.isfinite(hi_o)
+                      & (own_lo <= b - hi_o + FEAS_TOL) & (own_hi >= b - lo_o - FEAS_TOL))
+        ok = (~self.is_int[c] | integral) & np.select(
+            [sense == SENSE_GE, sense == SENSE_LE], [absorbs_ge, absorbs_le], absorbs_eq)
+        _, first = np.unique(r[ok], return_index=True)
+        taken = cand[ok][first]
+        for e in taken.tolist():
+            rr, cc = row[e], col[e]
+            lo_e, hi_e = np.searchsorted(row, [rr, rr + 1])
+            rep_others = [(self.members[k][0], v) for k, v in
+                          zip(col[lo_e:hi_e].tolist(), val[lo_e:hi_e].tolist()) if k != cc]
             self.singles.append(
                 (
-                    self.members[c],
-                    a,
-                    sense,
-                    b,
+                    self.members[cc],
+                    float(val[e]),
+                    str(self.senses[rr]),
+                    float(self.rhs[rr]),
                     rep_others,
-                    lo_c,
-                    hi_c,
-                    self.is_int[c],
+                    float(self.lb[cc]),
+                    float(self.ub[cc]),
+                    bool(self.is_int[cc]),
                 )
             )
-            self.rows[r] = None
-            self.members[c] = []  # retired: postsolve sets it from the record
-            changed = True
-        return changed
+            self.members[cc] = []  # retired: postsolve sets it from the record
+            self.col_live[cc] = False
+        self._drop_rows(row[taken])
+        return bool(taken.size)
 
     def _fix_empty_columns(self) -> bool:
-        usage = self._col_usage()
-        changed = False
-        for c in range(len(self.lb)):
-            if c in self.fixed or c in usage or not self.members[c]:
-                continue
+        uses = np.bincount(self.col, minlength=len(self.lb))
+        empty = np.flatnonzero(self.col_live & (uses == 0)).tolist()
+        for c in empty:
             if self.obj[c] > 0 or (self.obj[c] == 0 and isfinite(self.lb[c])):
                 target = self.lb[c]
             else:
@@ -435,46 +417,32 @@ class _Working:
             if not isfinite(target):
                 target = 0.0
             self._fix(c, target)
-            changed = True
-        return changed
+        return bool(empty)
 
     # -- output -------------------------------------------------------------
 
     def finish(self):
-        alive = [
-            c
-            for c in range(len(self.lb))
-            if c not in self.fixed and self.members[c]
-        ]
-        new_index = {c: k for k, c in enumerate(alive)}
-        entries = []
-        senses, rhs = [], []
-        rkeep = 0
-        for r, row in enumerate(self.rows):
-            if row is None:
-                continue
-            live = {c: a for c, a in row.items() if c in new_index}
-            for c, a in live.items():
-                entries.append((rkeep, new_index[c], a))
-            # Fully-fixed rows were substituted already; anything left with
-            # no live column is a constant row checked earlier.
-            senses.append(self.senses[r])
-            rhs.append(self.rhs[r])
-            rkeep += 1
-        n = len(alive)
-        if entries:
-            rr, cc, vv = zip(*entries)
-            A = sp.coo_matrix((vv, (rr, cc)), shape=(rkeep, n)).tocsr()
-        else:
-            A = sp.csr_matrix((rkeep, n))
+        alive = np.flatnonzero(self.col_live)
+        rows = np.flatnonzero(self.row_live)
+        new_col = np.full(len(self.lb), -1)
+        new_col[alive] = np.arange(len(alive))
+        new_row = np.full(len(self.rhs), -1)
+        new_row[rows] = np.arange(len(rows))
+        # Every entry's column is live once the passes settle; a fully fixed
+        # row keeps no entry and stays as a constant row checked earlier.
+        keep = self.col_live[self.col]
+        A = sp.coo_matrix(
+            (self.val[keep], (new_row[self.row[keep]], new_col[self.col[keep]])),
+            shape=(len(rows), len(alive)),
+        ).tocsr()
         reduced = ReducedModel(
             A=A,
-            senses=senses,
-            rhs=np.asarray(rhs),
-            lb=np.asarray([self.lb[c] for c in alive]),
-            ub=np.asarray([self.ub[c] for c in alive]),
-            obj=np.asarray([self.obj[c] for c in alive]),
-            is_int=np.asarray([self.is_int[c] for c in alive]),
+            senses=self.senses[rows].tolist(),
+            rhs=self.rhs[rows],
+            lb=self.lb[alive],
+            ub=self.ub[alive],
+            obj=self.obj[alive],
+            is_int=self.is_int[alive],
             obj_offset=self.obj_offset,
             members=[list(self.members[c]) for c in alive],
         )

@@ -99,9 +99,12 @@ class BoundedSimplex:
                 raise ValueError(f"unknown sense {s!r}")
         self.slack_lb, self.slack_ub = slack_lb, slack_ub
 
+        # One matrix; AT is a CSR view of its arrays. With sorted indices,
+        # a product with either adds each row's terms in column order, as a
+        # product with a separate CSR copy would.
         self.Aaug_csc = sp.hstack([A, sp.eye(m, format="csc")], format="csc")
-        self.Aaug_csr = self.Aaug_csc.tocsr()
-        self.AT = self.Aaug_csr.T.tocsr()
+        self.Aaug_csc.sort_indices()
+        self.AT = self.Aaug_csc.T
         self.b = b
         self.c = np.concatenate([np.asarray(c, dtype=float), np.zeros(m)])
         self.dual_tol2 = DUAL_TOL * (
@@ -131,7 +134,7 @@ class BoundedSimplex:
     def _recompute_basics(self):
         x_nb = self.x.copy()
         x_nb[self.basic] = 0.0
-        xb = self._ftran(self.b - self.Aaug_csr @ x_nb)
+        xb = self._ftran(self.b - self.Aaug_csc @ x_nb)
         if not np.all(np.isfinite(xb)):
             raise FloatingPointError("basis solve produced non-finite values")
         self.x[self.basic] = xb

@@ -49,10 +49,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except EvPlanError as exc:
+    except (OSError, EvPlanError) as exc:  # OSError: a path that cannot be opened
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
@@ -371,8 +368,7 @@ def cmd_report(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     write_csv(out / "charger_table.csv", report.charger_rows)
     write_csv(out / "costs.csv", report.costs)
-    write_csv(out / "injections.csv", report.injection_rows,
-              columns=["case", "node", "t", "value"])
+    write_csv(out / "injections.csv", report.injection_rows)
     report.write_json(out / "study_report.json")
     print(f"wrote charger_table.csv, costs.csv, injections.csv, study_report.json in {out}")
     return EXIT_OK

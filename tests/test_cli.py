@@ -65,6 +65,27 @@ def test_missing_grid_file_exits_2(tmp_path):
     assert rc == 2
 
 
+# A path that cannot be opened as the file or directory it names.
+UNOPENABLE = {
+    "grid-is-a-directory": ("generate", "--grid", lambda src, tmp: tmp, "--vehicles", 2),
+    "config-is-a-directory": ("solve", "--config", lambda src, tmp: tmp),
+    "output-directory-is-a-file": ("build", "--out", lambda src, tmp: src / "fleet.json"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNOPENABLE))
+def test_unopenable_path_exits_2(case, tiny_files, tmp_path, capsys):
+    src, _ = tiny_files
+    command, flag, path, *rest = UNOPENABLE[case]
+    args = {"--grid": src / "grid.json", "--demand": src / "demand.csv",
+            "--fleet": src / "fleet.json", "--out": tmp_path / "out"}
+    if command == "generate":
+        del args["--demand"], args["--fleet"]
+    args[flag] = path(src, tmp_path)
+    assert run_cli(command, *[a for kv in args.items() for a in kv], *rest) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_negative_seed_exits_2(tmp_path):
     assert run_cli("generate", "--seed", -1, "--vehicles", 2, "--out", tmp_path) == 2
     (tmp_path / "cfg.json").write_text(json.dumps({"seed": -1}))

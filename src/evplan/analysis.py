@@ -256,12 +256,13 @@ def demand_sweep(
     return rows
 
 
-def write_csv(path, rows: list[dict], columns: list[str] | None = None):
+def write_csv(path, rows: list[dict]):
+    """``rows`` under a header of the first row's keys, in their order."""
     path = Path(path)
     if not rows:
         path.write_text("")
         return
-    columns = columns or list(rows[0].keys())
+    columns = list(rows[0].keys())
     with open(path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=columns)
         writer.writeheader()

@@ -22,6 +22,8 @@ SENSE_LE = "L"
 SENSE_GE = "G"
 SENSE_EQ = "E"
 
+CHECK_TOL = 1e-6  # check_point's tolerance on bounds, rows and integrality
+
 
 class MilpModel:
     def __init__(self):
@@ -177,23 +179,23 @@ class MilpModel:
     def row_activity(self, x: np.ndarray) -> np.ndarray:
         return self.A @ x
 
-    def check_point(self, x: np.ndarray, tol: float = 1e-6) -> list[str]:
+    def check_point(self, x: np.ndarray) -> list[str]:
         """Non-finite entries and constraint/bound/integrality violations of
-        a full assignment."""
+        a full assignment, each beyond ``CHECK_TOL``."""
         issues = [
             f"column {self.col_names[j]} = {x[j]:.6g} not finite"
             for j in np.flatnonzero(~np.isfinite(x))
         ]
         issues += [
             f"column {self.col_names[j]} = {x[j]:.6g} outside bounds"
-            for j in np.flatnonzero((x < self.lb - tol) | (x > self.ub + tol))
+            for j in np.flatnonzero((x < self.lb - CHECK_TOL) | (x > self.ub + CHECK_TOL))
         ]
         act = self.row_activity(x)
         sense = np.asarray(self.row_sense)
         bad = (
-            ((sense == SENSE_LE) & (act > self.rhs + tol))
-            | ((sense == SENSE_GE) & (act < self.rhs - tol))
-            | ((sense == SENSE_EQ) & (np.abs(act - self.rhs) > tol))
+            ((sense == SENSE_LE) & (act > self.rhs + CHECK_TOL))
+            | ((sense == SENSE_GE) & (act < self.rhs - CHECK_TOL))
+            | ((sense == SENSE_EQ) & (np.abs(act - self.rhs) > CHECK_TOL))
         )
         issues += [
             f"row {self.row_names[r]}: activity {act[r]:.6g} {self.row_sense[r]} {self.rhs[r]:.6g} violated"
@@ -202,6 +204,6 @@ class MilpModel:
         frac = np.abs(x - np.round(x))
         issues += [
             f"column {self.col_names[j]} = {x[j]:.6g} not integral"
-            for j in np.flatnonzero(self.is_int & (frac > tol))
+            for j in np.flatnonzero(self.is_int & (frac > CHECK_TOL))
         ]
         return issues

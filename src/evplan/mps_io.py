@@ -30,7 +30,6 @@ from .milp import MilpModel
 
 OBJECTIVE = "COST"
 MODEL_NAME = "EVPLAN"
-IMPORT_TOL = 1e-6
 CHUNK = 4096  # records joined per write: bounds the strings alive at once
 BOUND_KINDS = np.array([f" {kind} BND       " for kind in ("FX", "FR", "MI", "LO", "UP", "PL")], dtype=object)
 
@@ -274,7 +273,7 @@ def import_solution(model: MilpModel, path: str | Path) -> np.ndarray:
             f"solution file misses {len(missing)} column(s), first: {missing[0]}"
         )
     x = np.array([values[cn] for cn in cols])
-    issues = model.check_point(x, tol=IMPORT_TOL)
+    issues = model.check_point(x)
     if issues:
         raise SolutionImportError(
             f"imported point violates the model ({len(issues)} issue(s))",

@@ -217,7 +217,7 @@ def test_criterion_6_verifier_mutation_coverage(tiny_battery):
                     arr[v, t] = 1 - arr[v, t]
                     mutations += 1
                     x = assignment_to_columns(model, inst, mutant)
-                    model_ok = model.check_point(x, tol=1e-6) == []
+                    model_ok = model.check_point(x) == []
                     verify_ok = verify_solution(inst, mutant, spot_checks=0).ok
                     if model_ok != verify_ok:
                         missed.append((seed, fam, v, t, model_ok, verify_ok))

@@ -156,7 +156,7 @@ def test_incumbent_satisfies_model():
     model = build_plan_model(inst)
     res = solve_bnb(model, EXACT)
     if res.x is not None:
-        assert model.check_point(res.x, tol=1e-5) == []
+        assert model.check_point(res.x) == []
 
 
 # Search trajectory of the exact solver on acceptance instances 1000-1003:

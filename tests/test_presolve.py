@@ -161,7 +161,7 @@ def test_random_milp_presolve_preserves_optimum(trial):
     else:
         assert mine.status == "optimal"
         assert mine.objective == pytest.approx(ref.fun, abs=1e-6)
-        assert not m.check_point(mine.x, tol=1e-6)
+        assert not m.check_point(mine.x)
 
 
 def reduced_digest(red) -> str:

@@ -33,7 +33,7 @@ def test_column_round_trip(case):
     again = assignment_from_columns(model, x)
     assert np.array_equal(again.slow_charge, sol.assignment.slow_charge)
     assert np.array_equal(again.fast_plug, sol.assignment.fast_plug)
-    assert model.check_point(x, tol=1e-6) == []
+    assert model.check_point(x) == []
 
 
 def test_counts_equal_max_over_time(case):
@@ -112,7 +112,7 @@ def test_spc_optimum_is_feasible_in_mpc_model():
         mpc_inst = replace(spc_inst, chargers="mpc")
         mpc_model = build_plan_model(mpc_inst)
         x = assignment_to_columns(mpc_model, mpc_inst, orc.assignment)
-        assert mpc_model.check_point(x, tol=1e-6) == []
+        assert mpc_model.check_point(x) == []
         # and never costs more under the multi-port count rules
         mpc_counts = recompute_counts(mpc_inst, orc.assignment)
         assert plan_objective(mpc_inst, mpc_counts) <= orc.objective + 1e-9

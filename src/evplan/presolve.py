@@ -43,6 +43,13 @@ FEAS_TOL = 1e-9
 MAX_PASSES = 30
 
 
+def _sums(index, weights, n) -> np.ndarray:
+    """Per slot 0..n-1, the sum in array order of the ``weights`` whose
+    ``index`` is that slot: floats, also for an empty ``index`` (on which
+    ``np.bincount`` returns integers)."""
+    return np.bincount(index, weights, minlength=n).astype(float, copy=False)
+
+
 @dataclass
 class ReducedModel:
     A: sp.csr_matrix
@@ -118,8 +125,9 @@ def presolve(model: MilpModel) -> PresolveResult:
 
 class _Working:
     """Mutable presolve state on arrays. The entries (``row``, ``col``,
-    ``val``) stay sorted by row, each row's in the order it first had them;
-    a live column is neither fixed nor retired."""
+    ``val``) stay sorted by row, each row's in the order it first had them
+    (a merged column's sum in the place of its first entry); a live column
+    is neither fixed nor retired."""
 
     def __init__(self, model: MilpModel):
         A = model.A.tocsr()
@@ -172,8 +180,8 @@ class _Working:
         and the count of its infinite ones."""
         m = len(self.rhs)
         finite = np.isfinite(terms)
-        sums = np.bincount(self.row[finite], terms[finite], minlength=m)
-        return sums.astype(float), np.bincount(self.row[~finite], minlength=m)
+        return (_sums(self.row[finite], terms[finite], m),
+                np.bincount(self.row[~finite], minlength=m))
 
     # -- one full pass -----------------------------------------------------
 
@@ -226,7 +234,7 @@ class _Working:
         single = np.bincount(row, minlength=len(b)) == 1
         lb_new = np.full(len(self.lb), -inf)
         ub_new = np.full(len(self.ub), inf)
-        for side, act, own in ((upper, lo, tmin), (lower, hi, tmax)):
+        for is_upper, side, act, own in ((True, upper, lo, tmin), (False, lower, hi, tmax)):
             use = (live & ~slack & side & (single | np.isfinite(act)))[row]
             r, a = row[use], val[use]
             # The other columns' part of the activity: the row's minus the
@@ -236,7 +244,7 @@ class _Working:
             bound = (b[r] - rest) / a
             # The upper side caps a column with a positive coefficient and
             # lifts one with a negative coefficient; the lower side the reverse.
-            caps = (a > 0) == (side is upper)
+            caps = (a > 0) == is_upper
             np.minimum.at(ub_new, col[use][caps], bound[caps])
             np.maximum.at(lb_new, col[use][~caps], bound[~caps])
         raised = lb_new > self.lb + FEAS_TOL
@@ -329,23 +337,14 @@ class _Working:
         return True
 
     def _remap_entries(self, remap):
-        """Rename every entry's column through ``remap`` and sum the entries
-        a row then holds twice: the kept column's own coefficient first,
-        then the renamed ones in row order. The sum takes the place of the
-        kept column's own entry, or goes to the row's end when the row had
-        none. Zero sums are dropped."""
+        """Rename every entry's column through ``remap`` and sum, in row
+        order, the entries a row then holds twice. The sum takes the place
+        of the first of them. Zero sums are dropped."""
         n = len(self.lb)
-        col = remap[self.col]
-        renamed = col != self.col
-        keys, group = np.unique(self.row * n + col, return_inverse=True)
-        at_end = np.ones(len(keys), dtype=bool)
-        at_end[group[~renamed]] = False
-        place = np.full(len(keys), len(col))
-        lead = renamed == at_end[group]
-        np.minimum.at(place, group[lead], np.flatnonzero(lead))
-        first = np.argsort(renamed, kind="stable")
-        val = np.bincount(group[first], self.val[first], minlength=len(keys))
-        order = np.lexsort((place, at_end, keys // n))
+        keys, first, group = np.unique(self.row * n + remap[self.col],
+                                       return_index=True, return_inverse=True)
+        val = _sums(group, self.val, len(keys))
+        order = np.argsort(first)
         self.row, self.col, self.val = keys[order] // n, keys[order] % n, val[order]
         self._keep_entries(self.val != 0.0)
 
@@ -361,7 +360,8 @@ class _Working:
         tmin, tmax = self._terms()
         (lo, lo_inf), (hi, hi_inf) = self._row_sums(tmin), self._row_sums(tmax)
         r, c, a, b = row[cand], col[cand], val[cand], self.rhs[row[cand]]
-        # The other columns' activity range: the row's without the own term.
+        # The other columns' activity range: the row's without the own term,
+        # unbounded while a term besides the own one is infinite.
         own_lo, own_hi = tmin[cand], tmax[cand]
         lo_o = np.where(lo_inf[r] > ~np.isfinite(own_lo), -inf,
                         lo[r] - np.where(np.isfinite(own_lo), own_lo, 0.0))

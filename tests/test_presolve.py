@@ -2,7 +2,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from scipy.optimize import LinearConstraint, milp
+from scipy.optimize import Bounds, LinearConstraint, milp
 
 from evplan.builder import build_plan_model
 from evplan.fleet import generate_commute_fleet
@@ -159,6 +159,51 @@ def test_random_milp_presolve_preserves_optimum(trial):
     if ref.status == 2:  # infeasible
         assert mine.status == "infeasible"
     else:
+        assert mine.status == "optimal"
+        assert mine.objective == pytest.approx(ref.fun, abs=1e-6)
+        assert not m.check_point(mine.x)
+
+
+@pytest.mark.parametrize("trial", range(40))
+def test_random_mixed_milp_presolve_preserves_optimum(trial):
+    # Continuous columns with infinite or fractional bounds beside binaries,
+    # so that row activities hold infinite terms. Each cost points towards
+    # a finite bound, which keeps every model bounded.
+    rng = np.random.default_rng(5000 + trial)
+    nn, mm = int(rng.integers(3, 12)), int(rng.integers(2, 10))
+    m = MilpModel()
+    for j in range(nn):
+        if rng.random() < 0.5:
+            m.add_column(f"x{j}", BINARY, 0, 1, obj=float(rng.choice([0.0, 1.0, -1.0, 2.5])))
+            continue
+        lo = float(rng.choice([0.0, -np.inf, -2.0, -0.5]))
+        hi = float(rng.choice([1.0, np.inf, 3.0, 0.75]))
+        cost = float(rng.choice([0.0, 1.0, -0.3]))
+        if (cost > 0 and lo == -np.inf) or (cost < 0 and hi == np.inf):
+            cost = -cost if np.isfinite(lo) or np.isfinite(hi) else 0.0
+        m.add_column(f"x{j}", CONTINUOUS, lo, hi, obj=cost)
+    for i in range(mm):
+        k = int(rng.integers(1, min(nn, 5) + 1))
+        cols = rng.choice(nn, size=k, replace=False)
+        vals = rng.choice([1.0, -1.0, 2.0, 0.5, -1.5, 3.3], size=k)
+        rhs = float(rng.choice([0.0, 1.0, -1.0, 2.0, 0.3]))
+        if k == 2 and rng.random() < 0.6:  # a x - a y (=|<=|>=) 0
+            vals[1], rhs = -vals[0], 0.0
+        m.add_row(f"r{i}", list(zip(cols.tolist(), vals.tolist())),
+                  str(rng.choice(["L", "G", "E"])), rhs)
+    m.freeze()
+
+    senses = np.asarray(m.row_sense)
+    ref = milp(m.obj, integrality=m.is_int.astype(int), bounds=Bounds(m.lb, m.ub),
+               constraints=LinearConstraint(m.A, np.where(senses == "L", -np.inf, m.rhs),
+                                            np.where(senses == "G", np.inf, m.rhs)))
+    from evplan.bnb import SolverConfig, solve_bnb
+
+    mine = solve_bnb(m, SolverConfig(gap=0.0, abs_gap=1e-9))
+    if ref.status == 2:  # infeasible
+        assert mine.status == "infeasible"
+    else:
+        assert ref.status == 0
         assert mine.status == "optimal"
         assert mine.objective == pytest.approx(ref.fun, abs=1e-6)
         assert not m.check_point(mine.x)

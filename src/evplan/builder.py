@@ -33,7 +33,7 @@ import numpy as np
 from .errors import BuildError, ScheduleError
 from .fleet import validate_schedule
 from .instance import PlanInstance
-from .milp import BINARY, CONTINUOUS, SENSE_EQ, SENSE_GE, SENSE_LE, MilpModel
+from .milp import BINARY, CONTINUOUS, SENSE_EQ, SENSE_GE, SENSE_LE, Labels, MilpModel
 
 VT_FAMILIES = (
     "fast_charge",
@@ -57,14 +57,60 @@ def _coo(*terms):
     return tuple(np.concatenate([p[k].ravel() for p in parts]) for k in range(3))
 
 
-def _labels(index, names, tags=None):
-    """Row names ``name[i,j]`` and metas ``(tag, i, j)``: for each index
-    tuple in turn, one row per entry of ``names`` (tags default to names)."""
-    tags = tags or names
-    return (
-        [f"{n}[{','.join(map(str, ix))}]" for ix in index for n in names],
-        [(g, *ix) for ix in index for g in tags],
-    )
+def _vt(V: int, T: int) -> np.ndarray:
+    """The (v, t) index pairs of a (V, T) grid in C order, one row each for
+    v and t."""
+    return np.indices((V, T)).reshape(2, -1)
+
+
+class _SocLabels:
+    """Per vehicle v: ``soc_lo[v,t]`` and ``soc_hi[v,t]`` for t = 1..T,
+    then ``soc_final[v]``; metas ``(name, v, t)`` and ``("soc_final", v)``."""
+
+    def __init__(self, V: int, T: int):
+        self.V, self.T = V, T
+        self.size = V * (2 * T + 1)
+
+    def names(self, escape=str) -> list[str]:
+        lo, hi, final = map(escape, ("soc_lo", "soc_hi", "soc_final"))
+        out = []
+        for v in range(self.V):
+            out += [f"{n}[{v},{t}]" for t in range(1, self.T + 1) for n in (lo, hi)]
+            out.append(f"{final}[{v}]")
+        return out
+
+    def metas(self) -> list[tuple]:
+        out = []
+        for v in range(self.V):
+            out += [(n, v, t) for t in range(1, self.T + 1) for n in ("soc_lo", "soc_hi")]
+            out.append(("soc_final", v))
+        return out
+
+    def name(self, k: int) -> str:
+        v, r = divmod(k, 2 * self.T + 1)
+        if r == 2 * self.T:
+            return f"soc_final[{v}]"
+        return f"{('soc_lo', 'soc_hi')[r % 2]}[{v},{r // 2 + 1}]"
+
+
+class _GridLabels:
+    """Hour t's grid rows ``grid[t]:kind[subject]`` with metas
+    ``("grid", t, kind, subject)``."""
+
+    def __init__(self, t: int, kinds: list[str], subjects: np.ndarray):
+        self.t, self.kinds, self.subjects = t, kinds, subjects.tolist()
+        self.size = len(kinds)
+
+    def names(self, escape=str) -> list[str]:
+        kinds = {k: escape(k) for k in set(self.kinds)}
+        head = f"{escape('grid')}[{self.t}]:"
+        return [f"{head}{kinds[k]}[{s}]" for k, s in zip(self.kinds, self.subjects)]
+
+    def metas(self) -> list[tuple]:
+        return [("grid", self.t, k, s) for k, s in zip(self.kinds, self.subjects)]
+
+    def name(self, k: int) -> str:
+        return f"grid[{self.t}]:{self.kinds[k]}[{self.subjects[k]}]"
 
 
 def _columns(inst: PlanInstance) -> MilpModel:
@@ -97,10 +143,8 @@ def _plug_logic(m: MilpModel, inst: PlanInstance):
     )
     rhs = np.zeros((V, T, 3))
     rhs[:, :, 0] = inst.schedule.parked.any(axis=2)
-    names, metas = _labels(
-        list(np.ndindex(V, T)), ("plug_cap", "fast_chg_le", "slow_chg_le"), ("plug_cap", "chg_le", "chg_le")
-    )
-    m.add_rows(names, rows, cols, vals, SENSE_LE, rhs.ravel(), metas)
+    labels = Labels(("plug_cap", "fast_chg_le", "slow_chg_le"), _vt(V, T), ("plug_cap", "chg_le", "chg_le"))
+    m.add_rows(labels, rows, cols, vals, SENSE_LE, rhs.ravel())
 
 
 def _soc_constraints(m: MilpModel, inst: PlanInstance):
@@ -137,12 +181,7 @@ def _soc_constraints(m: MilpModel, inst: PlanInstance):
     rhs[:, 0:2 * T:2] = np.array([veh.soc_min for veh in vehicles])[:, None] + dis
     rhs[:, 1:2 * T:2] = np.array([veh.soc_max for veh in vehicles])[:, None] + dis
     rhs[:, 2 * T] = dis[:, T - 1]
-    names, metas = [], []
-    for v in range(V):
-        n, g = _labels([(v, t) for t in range(1, T + 1)], ("soc_lo", "soc_hi"))
-        names += n + [f"soc_final[{v}]"]
-        metas += g + [("soc_final", v)]
-    m.add_rows(names, rows, cols, vals, ([SENSE_GE, SENSE_LE] * T + [SENSE_GE]) * V, rhs.ravel(), metas)
+    m.add_rows(_SocLabels(V, T), rows, cols, vals, ([SENSE_GE, SENSE_LE] * T + [SENSE_GE]) * V, rhs.ravel())
 
 
 def _grid_coupling(m: MilpModel, inst: PlanInstance):
@@ -159,12 +198,7 @@ def _grid_coupling(m: MilpModel, inst: PlanInstance):
             (r, fc[v, t], p * cat.fast_kw + q * cat.fast_kvar),
             (r, sc[v, t], p * cat.slow_kw + q * cat.slow_kvar),
         )
-        rowid = list(zip(block.kind, block.subject.tolist()))
-        m.add_rows(
-            [f"grid[{t}]:{kind}[{subject}]" for kind, subject in rowid],
-            rows, cols, vals, SENSE_LE, block.rhs,
-            [("grid", t, kind, subject) for kind, subject in rowid],
-        )
+        m.add_rows(_GridLabels(t, block.kind, block.subject), rows, cols, vals, SENSE_LE, block.rhs)
 
 
 def _count_rows(m: MilpModel, inst: PlanInstance, count_family: str, state_family: str, label: str):
@@ -179,8 +213,8 @@ def _count_rows(m: MilpModel, inst: PlanInstance, count_family: str, state_famil
     row = np.cumsum(present).reshape(present.shape) - 1  # node-major, as the rows are laid out
     pn, pt = np.nonzero(present)
     rows, cols, vals = _coo((row[pn, pt], counts[pn], 1.0), (row[n, t], states[v, t], -1.0))
-    names, metas = _labels([(inst.node_ids[k], s) for k, s in zip(pn.tolist(), pt.tolist())], (label,))
-    m.add_rows(names, rows, cols, vals, SENSE_GE, 0.0, metas)
+    labels = Labels((label,), (np.asarray(inst.node_ids)[pn], pt))
+    m.add_rows(labels, rows, cols, vals, SENSE_GE, 0.0)
 
 
 def _counts_spc(m: MilpModel, inst: PlanInstance):
@@ -193,10 +227,8 @@ def _counts_spc(m: MilpModel, inst: PlanInstance):
         (k, m.family("fast_plugs"), 1.0), (k, m.family("fast_chargers"), -1.0),
         (k + 1, m.family("slow_plugs"), 1.0), (k + 1, m.family("slow_chargers"), -1.0),
     )
-    names, metas = _labels(
-        [(node,) for node in inst.node_ids], ("spc_fast_tie", "spc_slow_tie"), ("spc_tie", "spc_tie")
-    )
-    m.add_rows(names, rows, cols, vals, SENSE_EQ, 0.0, metas)
+    labels = Labels(("spc_fast_tie", "spc_slow_tie"), (inst.node_ids,), ("spc_tie", "spc_tie"))
+    m.add_rows(labels, rows, cols, vals, SENSE_EQ, 0.0)
 
 
 def _counts_mpc(m: MilpModel, inst: PlanInstance):
@@ -230,8 +262,8 @@ def _edge_detection(m: MilpModel, inst: PlanInstance):
             (r, conn, 1.0), (r, plug, -1.0), (r[:, 1:], plug[:, :-1], 1.0),
             (r + 1, disc, 1.0), (r + 1, plug, 1.0), (r[:, 1:] + 1, plug[:, :-1], -1.0),
         )
-        names, metas = _labels(list(np.ndindex(V, T)), (f"{kind}_connect", f"{kind}_disconnect"), ("edge", "edge"))
-        m.add_rows(names, rows, cols, vals, SENSE_GE, 0.0, metas)
+        labels = Labels((f"{kind}_connect", f"{kind}_disconnect"), _vt(V, T), ("edge", "edge"))
+        m.add_rows(labels, rows, cols, vals, SENSE_GE, 0.0)
 
 
 def _scenario(m: MilpModel, inst: PlanInstance):
@@ -275,10 +307,8 @@ def _scenario(m: MilpModel, inst: PlanInstance):
             (2 * k, m.family("fast_disconnect")[budget[k], s], 1.0),
             (2 * k + 1, m.family("slow_disconnect")[budget[k], s], 1.0),
         )
-        names, metas = _labels(
-            [(v,) for v in budget.tolist()], ("midday_budget_fast", "midday_budget_slow"), ("midday_budget",) * 2
-        )
-        m.add_rows(names, rows, cols, vals, SENSE_LE, 1.0, metas)
+        labels = Labels(("midday_budget_fast", "midday_budget_slow"), (budget,), ("midday_budget",) * 2)
+        m.add_rows(labels, rows, cols, vals, SENSE_LE, 1.0)
 
 
 def build_plan_model(instance: PlanInstance) -> MilpModel:

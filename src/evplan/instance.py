@@ -13,7 +13,7 @@ from functools import cached_property
 import numpy as np
 
 from .demand import NetDemandProfile
-from .errors import ParameterError
+from .errors import ParameterError, ScheduleError
 from .fleet import ChargerCatalog, FleetSchedule, Vehicle
 from .linear_grid import GridLimits, GridRows, linear_grid_constraints
 from .loadflow import solve_load_flow
@@ -78,15 +78,18 @@ class PlanInstance:
 
     @cached_property
     def parked_col(self) -> np.ndarray:
-        """(V, T) index of the parked node into node_ids, -1 while driving."""
+        """(V, T) index of the parked node into node_ids, -1 while driving.
+        A vehicle parked at several nodes at once raises ScheduleError."""
+        parked = self.schedule.parked
+        several = np.argwhere(parked.sum(axis=2) > 1)
+        if len(several):
+            v, t = several[0].tolist()
+            raise ScheduleError(f"vehicle {v} parked at several nodes at t={t}")
         order = {n: k for k, n in enumerate(self.node_ids)}
-        out = np.full((self.n_vehicles, self.horizon), -1, dtype=np.int32)
-        for v in range(self.n_vehicles):
-            for t in range(self.horizon):
-                node = self.schedule.node_at(v, t)
-                if node is not None:
-                    out[v, t] = order[node]
-        return out
+        # Each schedule node's index into node_ids, and last a -1 for the
+        # hours parked nowhere, whose 1-based schedule node is 0 below.
+        cols = np.array([order[n] for n in self.schedule.node_ids] + [-1], dtype=np.int32)
+        return cols[parked.astype(np.int64) @ np.arange(1, parked.shape[2] + 1) - 1]
 
     def scatter(self, values: np.ndarray) -> np.ndarray:
         """(n_nodes, T) sums of a (V, T) per-vehicle array at the node where

@@ -6,9 +6,24 @@ quantities bijective in both directions. Rows arrive as blocks: a block's
 coefficients are COO arrays (row within the block, column, value), and
 ``freeze`` concatenates the blocks into one CSR matrix. Models are mutable
 while being assembled and immutable once frozen.
+
+Every block of columns or rows carries one label record instead of a name
+and a meta per entry: ``Family`` for ``add_family``, ``Labels`` (or one of
+the builder's own records) for ``add_rows``, and ``Literal`` for
+``add_column`` and ``add_row``. A record has a ``size`` and renders its
+entries' ``names()`` and ``metas()``, or one entry's ``name(k)``, only when
+asked. No solve reads a name: a 50-vehicle plan model holds about 22,400
+rows and columns in 13 column and 31-33 row records. ``col_names``,
+``col_meta``, ``row_names`` and ``row_meta`` are rendered on first read
+and cached; ``check_point`` and the ``BuildError`` messages render only
+the names they print; and ``mps_io`` writes the ``.columns.json`` sidecar
+from the records, one formatted string per entry.
 """
 
 from __future__ import annotations
+
+import itertools
+import math
 
 import numpy as np
 import scipy.sparse as sp
@@ -25,18 +40,98 @@ SENSE_EQ = "E"
 CHECK_TOL = 1e-6  # check_point's tolerance on bounds, rows and integrality
 
 
+class Family:
+    """Columns ``family[i_j]`` with metas ``(family, (i, j))``, one per
+    position of ``shape`` in C order."""
+
+    def __init__(self, family: str, shape: tuple[int, ...]):
+        self.family, self.shape = family, tuple(shape)
+        self.size = math.prod(self.shape)
+
+    def positions(self, text: bool = False):
+        """Each entry's position tuple in C order, of ints or (``text``)
+        of their decimal strings."""
+        axes = [range(k) for k in self.shape]
+        return itertools.product(*([list(map(str, a)) for a in axes] if text else axes))
+
+    def names(self, escape=str) -> list[str]:
+        """The entries' names; ``escape`` is applied to the family name."""
+        head = escape(self.family) + "["
+        return [head + "_".join(p) + "]" for p in self.positions(text=True)]
+
+    def metas(self) -> list[tuple]:
+        return [(self.family, p) for p in self.positions()]
+
+    def name(self, k: int) -> str:
+        return f"{self.family}[{'_'.join(map(str, np.unravel_index(k, self.shape)))}]"
+
+
+class Labels:
+    """Rows ``name[i,j]`` with metas ``(tag, i, j)``: for each index tuple
+    in turn, one row per entry of ``names`` (tags default to the names).
+    ``index`` holds one integer sequence per position of the tuples."""
+
+    def __init__(self, names, index, tags=None):
+        self.labels = tuple(names)
+        self.tags = tuple(tags or names)
+        self.index = [np.asarray(a).tolist() for a in index]
+        self.size = len(self.labels) * len(self.index[0])
+
+    def names(self, escape=str) -> list[str]:
+        """The entries' names; ``escape`` is applied to each label name."""
+        heads = [escape(n) + "[" for n in self.labels]
+        tails = [",".join(map(str, ix)) + "]" for ix in zip(*self.index)]
+        return [h + t for t in tails for h in heads]
+
+    def metas(self) -> list[tuple]:
+        return [(g, *ix) for ix in zip(*self.index) for g in self.tags]
+
+    def name(self, k: int) -> str:
+        q, r = divmod(k, len(self.labels))
+        return f"{self.labels[r]}[{','.join(str(a[q]) for a in self.index)}]"
+
+
+class Literal:
+    """One column or row with its own name and meta."""
+
+    size = 1
+
+    def __init__(self, label: str, meta: tuple = ()):
+        self.label, self.meta = label, meta
+
+    def names(self, escape=str) -> list[str]:
+        return [escape(self.label)]
+
+    def metas(self) -> list[tuple]:
+        return [self.meta]
+
+    def name(self, k: int) -> str:
+        return self.label
+
+
+def _name_of(records, k: int) -> str:
+    """The name of entry ``k`` of the blocks labelled by ``records``,
+    rendering only that one."""
+    for rec in records:
+        if k < rec.size:
+            return rec.name(k)
+        k -= rec.size
+
+
 class MilpModel:
     def __init__(self):
         self._frozen = False
-        self.col_names: list[str] = []
-        self.col_kind: list[str] = []
+        # One label record and one kind per column block, one label
+        # record per row block.
+        self.col_labels: list = []
+        self._col_kinds: list[str] = []
+        self.row_labels: list = []
+        self.n_cols = self.n_rows = 0
+        self._rendered: dict[str, list] = {}
         self._lb = np.zeros(0)
         self._ub = np.zeros(0)
         self._obj = np.zeros(0)
-        self.col_meta: list[tuple] = []
-        self.row_names: list[str] = []
         self.row_sense: list[str] = []
-        self.row_meta: list[tuple] = []
         # One (rows, cols, vals, rhs) block per add_rows call, rows global.
         self._blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
         self._families: dict[str, np.ndarray] = {}
@@ -54,24 +149,25 @@ class MilpModel:
         if self._frozen:
             raise BuildError("model is frozen")
 
-    def _add_columns(self, names, kind, lb, ub, obj, metas) -> np.ndarray:
+    def _add_columns(self, labels, kind, lb, ub, obj) -> np.ndarray:
         self._check_mutable()
-        n = len(names)
+        n = labels.size
         lb, ub, obj = (np.full(n, a, dtype=float) for a in (lb, ub, obj))
         bad = np.flatnonzero((lb != 0.0) | (ub != 1.0)) if kind == BINARY else []
         if len(bad):
-            raise BuildError(f"binary column {names[bad[0]]} must have bounds [0, 1]")
+            raise BuildError(f"binary column {labels.name(int(bad[0]))} must have bounds [0, 1]")
         j0 = self.n_cols
-        self.col_names += names
-        self.col_kind += [kind] * n
-        self.col_meta += metas
+        self.col_labels.append(labels)
+        self._col_kinds.append(kind)
+        self.n_cols += n
+        self._rendered.clear()
         self._lb = np.concatenate([self._lb, lb])
         self._ub = np.concatenate([self._ub, ub])
         self._obj = np.concatenate([self._obj, obj])
         return np.arange(j0, j0 + n)
 
     def add_column(self, name, kind, lb, ub, obj=0.0, meta=()) -> int:
-        return int(self._add_columns([name], kind, lb, ub, obj, [meta])[0])
+        return int(self._add_columns(Literal(name, meta), kind, lb, ub, obj)[0])
 
     def add_family(self, family: str, shape: tuple[int, ...], kind: str,
                    lb=0.0, ub=1.0) -> np.ndarray:
@@ -81,22 +177,20 @@ class MilpModel:
         self._check_mutable()
         if family in self._families:
             raise BuildError(f"family {family} added twice")
-        pos = list(np.ndindex(*shape))
         idx = self._add_columns(
-            [f"{family}[{'_'.join(map(str, p))}]" for p in pos], kind,
-            np.ravel(lb), np.ravel(ub), 0.0,
-            [(family, p) for p in pos],
+            Family(family, shape), kind, np.ravel(lb), np.ravel(ub), 0.0
         ).reshape(shape)
         self._families[family] = idx
         return idx
 
-    def add_rows(self, names, rows, cols, vals, sense, rhs, metas) -> np.ndarray:
-        """Append ``len(names)`` rows from COO arrays; ``rows`` counts from 0
-        within the block. Zero values are dropped and duplicates summed.
-        ``sense`` and ``rhs`` are one value for every row or one per row.
-        Returns the new rows' indices."""
+    def add_rows(self, labels, rows, cols, vals, sense, rhs) -> np.ndarray:
+        """Append ``labels.size`` rows, labelled by the record ``labels``,
+        from COO arrays; ``rows`` counts from 0 within the block. Zero
+        values are dropped and duplicates summed. ``sense`` and ``rhs`` are
+        one value for every row or one per row. Returns the new rows'
+        indices."""
         self._check_mutable()
-        n = len(names)
+        n = labels.size
         senses = [sense] * n if isinstance(sense, str) else list(sense)
         if not set(senses) <= {SENSE_LE, SENSE_GE, SENSE_EQ}:
             raise BuildError(f"unknown sense in {sorted(set(senses))!r}")
@@ -106,15 +200,16 @@ class MilpModel:
             raise BuildError(f"block of {n} rows has entries outside it")
         bad = np.flatnonzero((cols < 0) | (cols >= self.n_cols))
         if bad.size:
-            raise BuildError(f"row {names[rows[bad[0]]]} references undefined column {cols[bad[0]]}")
+            raise BuildError(f"row {labels.name(int(rows[bad[0]]))} references undefined column {cols[bad[0]]}")
         keep = vals != 0.0
         r0 = self.n_rows
         self._blocks.append(
             (rows[keep] + r0, cols[keep], vals[keep], np.full(n, rhs, dtype=float))
         )
-        self.row_names += names
+        self.row_labels.append(labels)
+        self.n_rows += n
+        self._rendered.clear()
         self.row_sense += senses
-        self.row_meta += metas
         return np.arange(r0, r0 + n)
 
     def add_row(self, name, coeffs, sense, rhs, meta=()) -> int:
@@ -122,7 +217,7 @@ class MilpModel:
         pairs = list(coeffs)
         cols = [j for j, _ in pairs]
         vals = [a for _, a in pairs]
-        return int(self.add_rows([name], np.zeros(len(pairs), dtype=int), cols, vals, sense, rhs, [meta])[0])
+        return int(self.add_rows(Literal(name, meta), np.zeros(len(pairs), dtype=int), cols, vals, sense, rhs)[0])
 
     def set_objective(self, cols, vals):
         """Objective coefficients ``vals`` (one value or one per column) on
@@ -140,7 +235,7 @@ class MilpModel:
 
     def freeze(self) -> "MilpModel":
         self._check_mutable()
-        n, m = len(self.col_names), len(self.row_names)
+        n, m = self.n_cols, self.n_rows
         empty = (np.zeros(0, dtype=np.int64),) * 2 + (np.zeros(0),) * 2
         r, c, v, rhs = (np.concatenate(parts) for parts in zip(empty, *self._blocks))
         self.A = sp.coo_matrix((v, (r, c)), shape=(m, n)).tocsr()  # sums duplicates
@@ -148,24 +243,41 @@ class MilpModel:
         self.ub = self._ub
         self.obj = self._obj
         self.rhs = rhs
-        self.is_int = np.asarray([k == BINARY for k in self.col_kind])
+        self.is_int = np.repeat(np.array([k == BINARY for k in self._col_kinds], dtype=bool),
+                                np.array([rec.size for rec in self.col_labels], dtype=np.int64))
         self._blocks = []
         self._frozen = True
         return self
 
+    # -- labels ----------------------------------------------------------
+
+    def _render(self, key: str, records, method: str) -> list:
+        if key not in self._rendered:
+            self._rendered[key] = [x for rec in records for x in getattr(rec, method)()]
+        return self._rendered[key]
+
+    @property
+    def col_names(self) -> list[str]:
+        """Every column's name, rendered from the label records on first read."""
+        return self._render("col_names", self.col_labels, "names")
+
+    @property
+    def col_meta(self) -> list[tuple]:
+        return self._render("col_meta", self.col_labels, "metas")
+
+    @property
+    def row_names(self) -> list[str]:
+        return self._render("row_names", self.row_labels, "names")
+
+    @property
+    def row_meta(self) -> list[tuple]:
+        return self._render("row_meta", self.row_labels, "metas")
+
     # -- queries ---------------------------------------------------------
 
     @property
-    def n_cols(self) -> int:
-        return len(self.col_names)
-
-    @property
-    def n_rows(self) -> int:
-        return len(self.row_names)
-
-    @property
     def n_binary(self) -> int:
-        return sum(1 for k in self.col_kind if k == BINARY)
+        return sum(rec.size for rec, k in zip(self.col_labels, self._col_kinds) if k == BINARY)
 
     def family(self, name: str) -> np.ndarray:
         return self._families[name]
@@ -183,11 +295,11 @@ class MilpModel:
         """Non-finite entries and constraint/bound/integrality violations of
         a full assignment, each beyond ``CHECK_TOL``."""
         issues = [
-            f"column {self.col_names[j]} = {x[j]:.6g} not finite"
+            f"column {_name_of(self.col_labels, j)} = {x[j]:.6g} not finite"
             for j in np.flatnonzero(~np.isfinite(x))
         ]
         issues += [
-            f"column {self.col_names[j]} = {x[j]:.6g} outside bounds"
+            f"column {_name_of(self.col_labels, j)} = {x[j]:.6g} outside bounds"
             for j in np.flatnonzero((x < self.lb - CHECK_TOL) | (x > self.ub + CHECK_TOL))
         ]
         act = self.row_activity(x)
@@ -198,12 +310,12 @@ class MilpModel:
             | ((sense == SENSE_EQ) & (np.abs(act - self.rhs) > CHECK_TOL))
         )
         issues += [
-            f"row {self.row_names[r]}: activity {act[r]:.6g} {self.row_sense[r]} {self.rhs[r]:.6g} violated"
+            f"row {_name_of(self.row_labels, r)}: activity {act[r]:.6g} {self.row_sense[r]} {self.rhs[r]:.6g} violated"
             for r in np.flatnonzero(bad)
         ]
         frac = np.abs(x - np.round(x))
         issues += [
-            f"column {self.col_names[j]} = {x[j]:.6g} not integral"
+            f"column {_name_of(self.col_labels, j)} = {x[j]:.6g} not integral"
             for j in np.flatnonzero(self.is_int & (frac > CHECK_TOL))
         ]
         return issues

@@ -4,7 +4,8 @@ Columns are emitted in builder order under generated 8-character names
 (C0000001, ...), rows as R0000001..., with binaries wrapped in
 INTORG/INTEND markers. A compact JSON sidecar maps the generated names
 back to (family, indices) so external solutions can be joined with the
-model.
+model. It is written from the model's label records, one formatted string
+per entry, and holds the bytes of one ``json.dumps`` of the whole mapping.
 
 A model holds few distinct numbers: a 50-vehicle model has about 6,000
 among 146,000 matrix entries. So the writer formats each distinct value
@@ -26,7 +27,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import SolutionImportError
-from .milp import MilpModel
+from .milp import Family, MilpModel
 
 OBJECTIVE = "COST"
 MODEL_NAME = "EVPLAN"
@@ -92,17 +93,41 @@ def export_mps(model: MilpModel, path: str | Path) -> Path:
     with open(path, "w") as fh:
         _write_mps(fh, model, rows, cols)
 
-    sidecar = {
-        "objective": OBJECTIVE,
-        "columns": {
-            cn: {"name": name, "family": meta[0] if meta else None, "indices": meta[1] if meta else None}
-            for cn, name, meta in zip(cols, model.col_names, model.col_meta)
-        },
-        "rows": dict(zip(rows, model.row_names)),
-    }
     sidecar_path = path.with_suffix(path.suffix + ".columns.json")
-    sidecar_path.write_text(json.dumps(sidecar) + "\n")
+    sidecar_path.write_text(_sidecar_text(model, rows, cols))
     return sidecar_path
+
+
+def _escape(text: str) -> str:
+    """``text`` as it stands between the quotes of a JSON string."""
+    return json.dumps(text)[1:-1]
+
+
+def _sidecar_text(model: MilpModel, rows: list[str], cols: list[str]) -> str:
+    """The sidecar, ``json.dumps`` of ``{"objective": ..., "columns": {C...:
+    {"name", "family", "indices"}}, "rows": {R...: name}}``, written one
+    formatted string per entry from the model's label records. JSON escapes
+    each character on its own, so escaping each family or label name once
+    escapes every name made from it; a literal column goes through
+    ``json.dumps`` whole."""
+    entries, j = [], 0
+    for rec in model.col_labels:
+        names, j = cols[j:j + rec.size], j + rec.size
+        if isinstance(rec, Family):
+            fam = _escape(rec.family)
+            entries += [
+                f'"{cn}": {{"name": "{fam}[{"_".join(p)}]", "family": "{fam}", "indices": [{", ".join(p)}]}}'
+                for cn, p in zip(names, rec.positions(text=True))
+            ]
+        else:
+            entries += [
+                f'"{cn}": ' + json.dumps({"name": name, "family": meta[0] if meta else None,
+                                          "indices": meta[1] if meta else None})
+                for cn, name, meta in zip(names, rec.names(), rec.metas())
+            ]
+    labels = [name for rec in model.row_labels for name in rec.names(_escape)]
+    return (f'{{"objective": "{OBJECTIVE}", "columns": {{{", ".join(entries)}}}, "rows": {{'
+            + ", ".join([f'"{rn}": "{name}"' for rn, name in zip(rows, labels)]) + "}}\n")
 
 
 def _write_mps(fh, model: MilpModel, rows: list[str], cols: list[str]) -> None:

@@ -329,6 +329,11 @@ class _Working:
                 self.is_int[keep] = self.is_int[keep] or self.is_int[c]
                 lo = max(self.lb[keep], self.lb[c])
                 hi = min(self.ub[keep], self.ub[c])
+                if self.is_int[keep]:
+                    # Rounded as _propagate rounds; a whole bound stays as
+                    # it is, since ceil(0.0 - 1e-7) is -0.0.
+                    lo = lo if lo == np.floor(lo) else np.ceil(lo - 1e-7)
+                    hi = hi if hi == np.floor(hi) else np.floor(hi + 1e-7)
                 if lo > hi + FEAS_TOL:
                     self.infeasible = True
                     return True

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import json
 import math
 
 import numpy as np
@@ -301,6 +302,23 @@ def reference_mps_text(model: MilpModel) -> str:
                 fh.write(f" PL BND       {cn}\n")
     fh.write("ENDATA\n")
     return fh.getvalue()
+
+
+def reference_sidecar_text(model: MilpModel) -> str:
+    """The ``.columns.json`` sidecar as one ``json.dumps`` of a dict built
+    from the rendered names and metas: the reference for the sidecar that
+    ``mps_io.export_mps`` writes from the label records."""
+    rows = [f"R{k:07d}" for k in range(1, model.n_rows + 1)]
+    cols = [f"C{k:07d}" for k in range(1, model.n_cols + 1)]
+    sidecar = {
+        "objective": OBJECTIVE,
+        "columns": {
+            cn: {"name": name, "family": meta[0] if meta else None, "indices": meta[1] if meta else None}
+            for cn, name, meta in zip(cols, model.col_names, model.col_meta)
+        },
+        "rows": dict(zip(rows, model.row_names)),
+    }
+    return json.dumps(sidecar) + "\n"
 
 
 def reference_solution_text(model: MilpModel, x: np.ndarray) -> str:

@@ -174,6 +174,47 @@ def test_builder_rejects_double_parking(inst_a):
         build_plan_model(replace(inst_a, schedule=sched))
 
 
+@pytest.mark.parametrize("chargers,scenario", [("spc", "A"), ("spc", "B"), ("mpc", "A"), ("mpc", "B")])
+def test_label_records_name_one_entry_as_they_name_all(chargers, scenario):
+    # check_point and the build errors render single names with name(k).
+    model = build_plan_model(tiny_instance(seed=101, scenario=scenario, chargers=chargers))
+    for rec in model.col_labels + model.row_labels:
+        assert [rec.name(k) for k in range(rec.size)] == rec.names()
+        assert len(rec.metas()) == rec.size
+    assert len(model.col_names) == model.n_cols and len(model.row_names) == model.n_rows
+
+
+def reference_parked_col(inst) -> np.ndarray:
+    """``PlanInstance.parked_col`` one vehicle-hour at a time."""
+    order = {n: k for k, n in enumerate(inst.node_ids)}
+    out = np.full((inst.n_vehicles, inst.horizon), -1, dtype=np.int32)
+    for v in range(inst.n_vehicles):
+        for t in range(inst.horizon):
+            node = inst.schedule.node_at(v, t)
+            if node is not None:
+                out[v, t] = order[node]
+    return out
+
+
+@pytest.mark.parametrize("seed", [101, 150, 202])
+def test_parked_col_matches_hourly_lookup(seed):
+    inst = tiny_instance(seed=seed, scenario="A", chargers="spc")
+    assert inst.parked_col.dtype == np.int32
+    assert np.array_equal(inst.parked_col, reference_parked_col(inst))
+    assert inst.parked_col.min() == -1
+
+
+def test_parked_col_rejects_double_parking(inst_a):
+    from dataclasses import replace
+
+    bad = inst_a.schedule.parked.copy()
+    bad[1, 3, :2] = True
+    bad[0, 4, :2] = True
+    sched = replace(inst_a.schedule, parked=bad)
+    with pytest.raises(ScheduleError, match="vehicle 0 parked at several nodes at t=4"):
+        replace(inst_a, schedule=sched).parked_col
+
+
 def test_missing_linearization_fails_to_build(inst_a):
     from dataclasses import replace
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from evplan.errors import BuildError
-from evplan.milp import BINARY, CONTINUOUS, SENSE_EQ, SENSE_GE, SENSE_LE, MilpModel
+from evplan.milp import BINARY, CONTINUOUS, SENSE_EQ, SENSE_GE, SENSE_LE, Labels, MilpModel
 
 
 def small_model() -> MilpModel:
@@ -42,8 +42,8 @@ def test_row_block_matches_single_rows():
     m = MilpModel()
     cols = m.add_family("x", (3,), CONTINUOUS, lb=0.0, ub=[1.0, 2.0, 3.0])
     rows = m.add_rows(
-        ["r[0]", "r[1]"], [0, 0, 0, 1, 1], [cols[0], cols[1], cols[0], cols[2], cols[1]],
-        [1.0, 0.0, 2.0, -1.0, 4.0], [SENSE_LE, SENSE_GE], [5.0, 6.0], [("r", 0), ("r", 1)],
+        Labels(("r",), ([0, 1],)), [0, 0, 0, 1, 1], [cols[0], cols[1], cols[0], cols[2], cols[1]],
+        [1.0, 0.0, 2.0, -1.0, 4.0], [SENSE_LE, SENSE_GE], [5.0, 6.0],
     )
     assert rows.tolist() == [0, 1]
     m.freeze()
@@ -65,3 +65,29 @@ def test_rows_reject_undefined_columns():
     m.add_column("a", BINARY, 0, 1)
     with pytest.raises(BuildError, match="row r references undefined column 3"):
         m.add_row("r", [(0, 1.0), (3, 1.0)], SENSE_LE, 1.0)
+
+
+def test_binary_family_rejects_other_bounds():
+    # The error names the offending column, entry 2 of the (2, 2) family.
+    m = MilpModel()
+    with pytest.raises(BuildError, match=r"binary column x\[1_0\] must have bounds \[0, 1\]"):
+        m.add_family("x", (2, 2), BINARY, ub=[1, 1, 2, 1])
+
+
+def test_names_render_on_read_and_follow_later_blocks():
+    # Names read before the model is complete include blocks added later.
+    m = MilpModel()
+    m.add_family("x", (2,), CONTINUOUS)
+    assert m.col_names == ["x[0]", "x[1]"]
+    m.add_column("y", CONTINUOUS, 0.0, 1.0, meta=("y", ()))
+    m.add_rows(Labels(("r", "s"), ([4, 5], [0, 1]), ("t", "t")), [0, 3], [0, 2], [1.0, 1.0], SENSE_LE, 1.0)
+    m.freeze()
+    assert m.col_names == ["x[0]", "x[1]", "y"]
+    assert m.col_meta == [("x", (0,)), ("x", (1,)), ("y", ())]
+    assert m.row_names == ["r[4,0]", "s[4,0]", "r[5,1]", "s[5,1]"]
+    assert m.row_meta == [("t", 4, 0), ("t", 4, 0), ("t", 5, 1), ("t", 5, 1)]
+    assert m.n_cols == 3 and m.n_rows == 4 and m.n_binary == 0
+    assert m.check_point(np.array([0.0, 0.0, 2.0])) == [
+        "column y = 2 outside bounds",
+        "row s[5,1]: activity 2 L 1 violated",
+    ]

@@ -8,7 +8,7 @@ from evplan.builder import build_plan_model
 from evplan.errors import SolutionImportError
 from evplan.fleet import generate_commute_fleet
 from evplan.instance import prepare_instance
-from evplan.milp import BINARY, CONTINUOUS, SENSE_EQ, SENSE_GE, SENSE_LE, MilpModel
+from evplan.milp import BINARY, CONTINUOUS, SENSE_EQ, SENSE_GE, SENSE_LE, Labels, MilpModel
 from evplan.mps_io import (
     CHUNK,
     export_mps,
@@ -17,7 +17,7 @@ from evplan.mps_io import (
     write_solution_file,
 )
 
-from helpers import reference_mps_text, reference_solution_text, tiny_instance
+from helpers import reference_mps_text, reference_sidecar_text, reference_solution_text, tiny_instance
 
 
 @pytest.fixture(scope="module")
@@ -249,6 +249,23 @@ def random_model(seed: int) -> MilpModel:
     return model
 
 
+def escaped_model() -> MilpModel:
+    """Literal, family and label names that JSON must escape: quotes,
+    backslashes, non-ASCII and control characters; an empty family and a
+    family of one column with no index."""
+    m = MilpModel()
+    a = m.add_column('q"uote', BINARY, 0, 1, obj=1.0, meta=("lit", (3, 4)))
+    b = m.add_column("back\\slash", CONTINUOUS, 0, 4)
+    c = m.add_column("caf\u00e9 \U0001F600\x7f\x01", CONTINUOUS, 0, 4, meta=("f\u00e9", (1,)))
+    x = m.add_family('fam"\\\u00e9', (2, 3), BINARY)
+    m.add_family("empty", (0, 2), CONTINUOUS)
+    m.add_family("scalar", (), CONTINUOUS)
+    m.add_row('r"1\\\u00e9', [(a, 1.0), (b, 2.0)], SENSE_LE, 1.0, meta=("r",))
+    m.add_row("\u00fcber", [(c, 1.0), (int(x[1, 2]), 1.0)], SENSE_EQ, 0.0)
+    m.add_rows(Labels(('lab"\\\u00e9', "plain"), ([7, 8],)), [0, 3], [a, b], [1.0, 1.0], SENSE_GE, 0.0)
+    return m.freeze()
+
+
 def desk_model(network, demand, chargers: str, scenario: str) -> MilpModel:
     schedule, vehicles = generate_commute_fleet(
         network.cluster_nodes(1), network.cluster_nodes(2), 17, seed=42)
@@ -257,16 +274,19 @@ def desk_model(network, demand, chargers: str, scenario: str) -> MilpModel:
 
 
 @pytest.mark.parametrize(
-    "case", ["edge", "random-0", "random-1", "random-2", "spc-A", "spc-B", "mpc-A", "mpc-B"])
+    "case", ["edge", "escaped", "random-0", "random-1", "random-2", "spc-A", "spc-B", "mpc-A", "mpc-B"])
 def test_export_matches_reference_writer(tmp_path, cigre_network, cigre_demand, case):
     if case == "edge":
         model = edge_model()
+    elif case == "escaped":
+        model = escaped_model()
     elif case.startswith("random"):
         model = random_model(int(case.split("-")[1]))
     else:
         model = desk_model(cigre_network, cigre_demand, *case.split("-"))
-    export_mps(model, tmp_path / "model.mps")
+    sidecar = export_mps(model, tmp_path / "model.mps")
     assert (tmp_path / "model.mps").read_bytes() == reference_mps_text(model).encode()
+    assert sidecar.read_bytes() == reference_sidecar_text(model).encode()
 
     rng = np.random.default_rng(len(case))
     x = rng.choice([0.0, 1.0, -0.0, 0.5, 1.0 / 3.0, ALIKE, np.nextafter(ALIKE, 1.0)], size=model.n_cols)

@@ -117,6 +117,49 @@ def test_infeasible_detected():
     assert presolve(m).status == "infeasible"
 
 
+def merged_integer_model(y_min: float) -> MilpModel:
+    """Binary b tied to continuous y in [0, 10] by b - y = 0. Rows 2y <= 1
+    and y >= ``y_min`` tighten y in the pass that merges b and y, so b's
+    own bounds stay [0, 1]; z and w give the model an optimum of -1."""
+    m = MilpModel()
+    b = m.add_column("b", BINARY, 0, 1, obj=-1.0)
+    z = m.add_column("z", BINARY, 0, 1, obj=-1.0)
+    y = m.add_column("y", CONTINUOUS, 0.0, 10.0)
+    w = m.add_column("w", CONTINUOUS, 0.0, 3.0, obj=0.3)
+    m.add_row("tie", [(b, 1.0), (y, -1.0)], "E", 0.0)
+    m.add_row("cap", [(y, 2.0)], "L", 1.0)
+    if y_min:
+        m.add_row("floor", [(y, 1.0)], "G", y_min)
+    m.add_row("r3", [(b, 1.0), (z, 1.0), (w, -1.0)], "L", 1.2)
+    m.add_row("r4", [(b, 2.0), (z, -1.0), (w, 1.0)], "L", 2.6)
+    return m.freeze()
+
+
+def test_merged_integer_column_has_rounded_bounds():
+    # The merged column of b and y is integer, so its bounds [0, 0.5]
+    # round to [0, 0] and it is fixed; unrounded, it stayed [0, 0.5].
+    m = merged_integer_model(0.0)
+    pre = presolve(m)
+    assert pre.status == "reduced"
+    assert pre.fixed == {0: 0.0, 2: 0.0}
+    red = pre.reduced
+    assert red.members == [[1], [3]]
+    ints = np.flatnonzero(red.is_int)
+    assert np.array_equal(red.lb[ints], np.round(red.lb[ints]))
+    assert np.array_equal(red.ub[ints], np.round(red.ub[ints]))
+    from evplan.bnb import SolverConfig, solve_bnb
+
+    res = solve_bnb(m, SolverConfig(gap=0.0, abs_gap=1e-9))
+    assert res.status == "optimal" and res.objective == pytest.approx(-1.0)
+    assert m.check_point(res.x) == []
+
+
+def test_merged_integer_column_with_crossed_bounds_is_infeasible():
+    # y in [0.3, 0.5] leaves the merged integer column no whole value;
+    # unrounded, it stayed [0.3, 0.5] for the search to find infeasible.
+    assert presolve(merged_integer_model(0.3)).status == "infeasible"
+
+
 @pytest.mark.parametrize("trial", range(40))
 def test_random_milp_presolve_preserves_optimum(trial):
     rng = np.random.default_rng(4000 + trial)

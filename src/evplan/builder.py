@@ -86,12 +86,6 @@ class _SocLabels:
             out.append(("soc_final", v))
         return out
 
-    def name(self, k: int) -> str:
-        v, r = divmod(k, 2 * self.T + 1)
-        if r == 2 * self.T:
-            return f"soc_final[{v}]"
-        return f"{('soc_lo', 'soc_hi')[r % 2]}[{v},{r // 2 + 1}]"
-
 
 class _GridLabels:
     """Hour t's grid rows ``grid[t]:kind[subject]`` with metas
@@ -108,9 +102,6 @@ class _GridLabels:
 
     def metas(self) -> list[tuple]:
         return [("grid", self.t, k, s) for k, s in zip(self.kinds, self.subjects)]
-
-    def name(self, k: int) -> str:
-        return f"grid[{self.t}]:{self.kinds[k]}[{self.subjects[k]}]"
 
 
 def _columns(inst: PlanInstance) -> MilpModel:

@@ -11,13 +11,13 @@ Every block of columns or rows carries one label record instead of a name
 and a meta per entry: ``Family`` for ``add_family``, ``Labels`` (or one of
 the builder's own records) for ``add_rows``, and ``Literal`` for
 ``add_column`` and ``add_row``. A record has a ``size`` and renders its
-entries' ``names()`` and ``metas()``, or one entry's ``name(k)``, only when
-asked. No solve reads a name: a 50-vehicle plan model holds about 22,400
-rows and columns in 13 column and 31-33 row records. ``col_names``,
-``col_meta``, ``row_names`` and ``row_meta`` are rendered on first read
-and cached; ``check_point`` and the ``BuildError`` messages render only
-the names they print; and ``mps_io`` writes the ``.columns.json`` sidecar
-from the records, one formatted string per entry.
+entries' ``names()`` and ``metas()`` only when asked. No solve reads a
+name: a 50-vehicle plan model holds about 22,400 rows and columns in 13
+column and 31-33 row records. ``col_names``, ``col_meta``, ``row_names``
+and ``row_meta`` are rendered on first read and cached; ``check_point``
+and the ``BuildError`` messages read them only when they have a violation
+to print; and ``mps_io`` writes the ``.columns.json`` sidecar from the
+records, one formatted string per entry.
 """
 
 from __future__ import annotations
@@ -62,9 +62,6 @@ class Family:
     def metas(self) -> list[tuple]:
         return [(self.family, p) for p in self.positions()]
 
-    def name(self, k: int) -> str:
-        return f"{self.family}[{'_'.join(map(str, np.unravel_index(k, self.shape)))}]"
-
 
 class Labels:
     """Rows ``name[i,j]`` with metas ``(tag, i, j)``: for each index tuple
@@ -86,10 +83,6 @@ class Labels:
     def metas(self) -> list[tuple]:
         return [(g, *ix) for ix in zip(*self.index) for g in self.tags]
 
-    def name(self, k: int) -> str:
-        q, r = divmod(k, len(self.labels))
-        return f"{self.labels[r]}[{','.join(str(a[q]) for a in self.index)}]"
-
 
 class Literal:
     """One column or row with its own name and meta."""
@@ -104,18 +97,6 @@ class Literal:
 
     def metas(self) -> list[tuple]:
         return [self.meta]
-
-    def name(self, k: int) -> str:
-        return self.label
-
-
-def _name_of(records, k: int) -> str:
-    """The name of entry ``k`` of the blocks labelled by ``records``,
-    rendering only that one."""
-    for rec in records:
-        if k < rec.size:
-            return rec.name(k)
-        k -= rec.size
 
 
 class MilpModel:
@@ -155,7 +136,7 @@ class MilpModel:
         lb, ub, obj = (np.full(n, a, dtype=float) for a in (lb, ub, obj))
         bad = np.flatnonzero((lb != 0.0) | (ub != 1.0)) if kind == BINARY else []
         if len(bad):
-            raise BuildError(f"binary column {labels.name(int(bad[0]))} must have bounds [0, 1]")
+            raise BuildError(f"binary column {labels.names()[bad[0]]} must have bounds [0, 1]")
         j0 = self.n_cols
         self.col_labels.append(labels)
         self._col_kinds.append(kind)
@@ -200,7 +181,7 @@ class MilpModel:
             raise BuildError(f"block of {n} rows has entries outside it")
         bad = np.flatnonzero((cols < 0) | (cols >= self.n_cols))
         if bad.size:
-            raise BuildError(f"row {labels.name(int(rows[bad[0]]))} references undefined column {cols[bad[0]]}")
+            raise BuildError(f"row {labels.names()[rows[bad[0]]]} references undefined column {cols[bad[0]]}")
         keep = vals != 0.0
         r0 = self.n_rows
         self._blocks.append(
@@ -295,11 +276,11 @@ class MilpModel:
         """Non-finite entries and constraint/bound/integrality violations of
         a full assignment, each beyond ``CHECK_TOL``."""
         issues = [
-            f"column {_name_of(self.col_labels, j)} = {x[j]:.6g} not finite"
+            f"column {self.col_names[j]} = {x[j]:.6g} not finite"
             for j in np.flatnonzero(~np.isfinite(x))
         ]
         issues += [
-            f"column {_name_of(self.col_labels, j)} = {x[j]:.6g} outside bounds"
+            f"column {self.col_names[j]} = {x[j]:.6g} outside bounds"
             for j in np.flatnonzero((x < self.lb - CHECK_TOL) | (x > self.ub + CHECK_TOL))
         ]
         act = self.row_activity(x)
@@ -310,12 +291,12 @@ class MilpModel:
             | ((sense == SENSE_EQ) & (np.abs(act - self.rhs) > CHECK_TOL))
         )
         issues += [
-            f"row {_name_of(self.row_labels, r)}: activity {act[r]:.6g} {self.row_sense[r]} {self.rhs[r]:.6g} violated"
+            f"row {self.row_names[r]}: activity {act[r]:.6g} {self.row_sense[r]} {self.rhs[r]:.6g} violated"
             for r in np.flatnonzero(bad)
         ]
         frac = np.abs(x - np.round(x))
         issues += [
-            f"column {_name_of(self.col_labels, j)} = {x[j]:.6g} not integral"
+            f"column {self.col_names[j]} = {x[j]:.6g} not integral"
             for j in np.flatnonzero(self.is_int & (frac > CHECK_TOL))
         ]
         return issues

@@ -116,8 +116,8 @@ def _sidecar_text(model: MilpModel, rows: list[str], cols: list[str]) -> str:
         if isinstance(rec, Family):
             fam = _escape(rec.family)
             entries += [
-                f'"{cn}": {{"name": "{fam}[{"_".join(p)}]", "family": "{fam}", "indices": [{", ".join(p)}]}}'
-                for cn, p in zip(names, rec.positions(text=True))
+                f'"{cn}": {{"name": "{name}", "family": "{fam}", "indices": [{", ".join(p)}]}}'
+                for cn, name, p in zip(names, rec.names(_escape), rec.positions(text=True))
             ]
         else:
             entries += [

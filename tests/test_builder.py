@@ -174,16 +174,6 @@ def test_builder_rejects_double_parking(inst_a):
         build_plan_model(replace(inst_a, schedule=sched))
 
 
-@pytest.mark.parametrize("chargers,scenario", [("spc", "A"), ("spc", "B"), ("mpc", "A"), ("mpc", "B")])
-def test_label_records_name_one_entry_as_they_name_all(chargers, scenario):
-    # check_point and the build errors render single names with name(k).
-    model = build_plan_model(tiny_instance(seed=101, scenario=scenario, chargers=chargers))
-    for rec in model.col_labels + model.row_labels:
-        assert [rec.name(k) for k in range(rec.size)] == rec.names()
-        assert len(rec.metas()) == rec.size
-    assert len(model.col_names) == model.n_cols and len(model.row_names) == model.n_rows
-
-
 def reference_parked_col(inst) -> np.ndarray:
     """``PlanInstance.parked_col`` one vehicle-hour at a time."""
     order = {n: k for k, n in enumerate(inst.node_ids)}

@@ -62,7 +62,7 @@ class SolverConfig:
 
 @dataclass
 class MilpSolveResult:
-    status: str  # optimal | gap-optimal | infeasible | limit
+    status: str  # optimal | gap-optimal | infeasible | unbounded | limit
     x: np.ndarray | None = None
     objective: float | None = None
     bound: float = -np.inf
@@ -71,7 +71,7 @@ class MilpSolveResult:
     lp_iterations: int = 0
     runtime_s: float = 0.0
     size: tuple[int, int, int] = (0, 0, 0)  # rows, columns, nonzeros of the model
-    presolved_size: tuple[int, int, int] | None = None  # None: presolve proved infeasibility
+    presolved_size: tuple[int, int, int] | None = None  # None: presolve ended the solve
 
 
 class _Node:
@@ -117,6 +117,10 @@ class _Node:
         return self.id < other.id
 
 
+class _Unbounded(Exception):
+    """A node LP whose objective falls without limit."""
+
+
 def _relative_gap(incumbent: float, bound: float) -> float:
     return (incumbent - bound) / max(1.0, abs(incumbent))
 
@@ -133,8 +137,7 @@ class _Search:
         self.nodes_done = 0
         self.lp_iters = 0
         self.pre = presolve(model)
-        self.infeasible = self.pre.status == "infeasible"
-        if self.infeasible:
+        if self.pre.status != "reduced":
             return
         red = self.pre.reduced
         self.red = red
@@ -172,6 +175,8 @@ class _Search:
         if res.status == "infeasible":
             self.eval_counts["infeasible"] += 1
             return "infeasible", None
+        if res.status == "unbounded":
+            raise _Unbounded
         if res.status != "optimal":
             raise RuntimeError(f"node LP ended with status {res.status}")
         node.key = max(node.key, res.objective + self.red.obj_offset)
@@ -340,7 +345,10 @@ class _Search:
     # -- main loop ------------------------------------------------------------
 
     def run(self) -> MilpSolveResult:
-        stop = self._search()
+        try:
+            stop = self._search()
+        except _Unbounded:
+            stop = "unbounded"
         result = self._finish(stop)
         inc = "-" if self.incumbent_x is None else f"{self.incumbent_obj:.1f}"
         log.info(
@@ -351,9 +359,9 @@ class _Search:
 
     def _search(self) -> str:
         """Run the search; returns why it stopped: gap reached, node limit,
-        time limit, tree exhausted or infeasible."""
-        if self.infeasible:
-            return "infeasible"
+        time limit, tree exhausted, infeasible or unbounded."""
+        if self.pre.status != "reduced":
+            return self.pre.status
 
         root = _Node(self.next_id, -np.inf, np.empty(0, dtype=np.intp), np.empty(0))
         self.next_id += 1
@@ -401,6 +409,8 @@ class _Search:
         return stop
 
     def _finish(self, stop: str) -> MilpSolveResult:
+        if stop == "unbounded":
+            return self._result(stop, nodes=self.nodes_done, lp_iterations=self.lp_iters)
         if self.incumbent_x is None:
             status = "limit" if stop in ("node limit", "time limit") else "infeasible"
             return self._result(
@@ -434,5 +444,10 @@ class _Search:
 
 
 def solve_bnb(model: MilpModel, config: SolverConfig | None = None) -> MilpSolveResult:
-    """Minimize the MILP; deterministic for a fixed model and config."""
+    """Minimize the MILP; deterministic for a fixed model and config.
+
+    Status ``unbounded`` (no x) means the objective falls without limit on
+    the LP relaxation or on a column presolve found in no row. Like an LP
+    solver's unbounded status, it does not prove that the model has a
+    feasible point."""
     return _Search(model, config or SolverConfig()).run()

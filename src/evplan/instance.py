@@ -3,6 +3,17 @@
 ``prepare_instance`` performs the per-interval linearization: one load flow
 per time step on the EV-free net demand, with sensitivity coefficients read
 from that load flow's Jacobian and reused for all candidate EV injections.
+
+The linearization depends on the grid and the EV-free demand only, not on
+the fleet, the chargers or the scenario, so the grid object keeps the last
+one made on it. ``prepare_instance`` on the same ``BusNetwork`` object with
+a demand of the same content (node ids, dtype, shape and the bytes of P and
+Q) reuses its tuple of sensitivity coefficients, and every instance that
+still holds that tuple shares its grid rows per ``GridLimits``. A new
+demand replaces the entry, which lives as long as the grid object. A
+failure (a diverging load flow, a singular Jacobian, an infeasible base
+point) is never kept, so it raises on every call. The shared arrays are
+read-only.
 """
 
 from __future__ import annotations
@@ -16,8 +27,8 @@ from .demand import NetDemandProfile
 from .errors import ParameterError, ScheduleError
 from .fleet import ChargerCatalog, FleetSchedule, Vehicle
 from .linear_grid import GridLimits, GridRows, linear_grid_constraints
-from .loadflow import solve_load_flow
-from .network import BusNetwork
+from .loadflow import OperatingPoint, solve_load_flow
+from .network import BusNetwork, _read_only
 from .sensitivity import SensitivityCoefficients, compute_sensitivities
 
 SCENARIOS = ("A", "B")
@@ -34,7 +45,7 @@ class PlanInstance:
     scenario: str
     chargers: str
     limits: GridLimits
-    linearizations: list[SensitivityCoefficients]
+    linearizations: tuple[SensitivityCoefficients, ...]
     mpc_slow_literal: bool = False
 
     def __post_init__(self):
@@ -64,17 +75,25 @@ class PlanInstance:
         return self.network.node_ids
 
     @cached_property
-    def grid_rows(self) -> list[GridRows]:
-        """One block of linearized grid rows per interval."""
+    def grid_rows(self) -> tuple[GridRows, ...]:
+        """One block of linearized grid rows per interval, shared with the
+        instances that hold the grid's current linearization."""
         if len(self.linearizations) != self.horizon:
             raise ParameterError(
                 f"missing sensitivity sets: have {len(self.linearizations)}, "
                 f"need {self.horizon}"
             )
-        return [
+        memo = self.network._linearization
+        shared = memo is not None and memo.sensitivities is self.linearizations
+        if shared and self.limits in memo.grid_rows:
+            return memo.grid_rows[self.limits]
+        rows = tuple(
             linear_grid_constraints(sens, self.network, self.limits)
             for sens in self.linearizations
-        ]
+        )
+        if shared:
+            memo.grid_rows[self.limits] = rows = tuple(map(_read_only_arrays, rows))
+        return rows
 
     @cached_property
     def parked_col(self) -> np.ndarray:
@@ -110,6 +129,43 @@ class PlanInstance:
         )
 
 
+@dataclass
+class _Linearization:
+    """A grid's EV-free linearization for one demand content."""
+
+    key: tuple
+    sensitivities: tuple[SensitivityCoefficients, ...]
+    grid_rows: dict[GridLimits, tuple[GridRows, ...]]
+
+
+def _read_only_arrays(obj):
+    """``obj`` with its array fields, and its operating point's, read-only."""
+    for value in vars(obj).values():
+        if isinstance(value, np.ndarray):
+            _read_only(value)
+        elif isinstance(value, OperatingPoint):
+            _read_only_arrays(value)
+    return obj
+
+
+def _linearize(network: BusNetwork, demand: NetDemandProfile) -> tuple[SensitivityCoefficients, ...]:
+    """The grid's sensitivity coefficients for ``demand``, made when the
+    grid holds none for a demand of this content."""
+    p_kw, q_kvar = demand.p_kw, demand.q_kvar
+    key = (demand.node_ids, p_kw.dtype.str, q_kvar.dtype.str, p_kw.shape,
+           p_kw.tobytes(), q_kvar.tobytes())
+    memo = network._linearization
+    if memo is None or memo.key != key:
+        sensitivities = []
+        for t in range(demand.horizon):
+            p, q = demand.demand_at(network, t)
+            point = solve_load_flow(network, p, q)
+            sensitivities.append(_read_only_arrays(compute_sensitivities(network, point)))
+        memo = _Linearization(key, tuple(sensitivities), {})
+        object.__setattr__(network, "_linearization", memo)
+    return memo.sensitivities
+
+
 def prepare_instance(
     network: BusNetwork,
     demand: NetDemandProfile,
@@ -121,12 +177,8 @@ def prepare_instance(
     limits: GridLimits | None = None,
     mpc_slow_literal: bool = False,
 ) -> PlanInstance:
-    """Solve the EV-free load flow and linearize once per time step."""
-    linearizations = []
-    for t in range(demand.horizon):
-        p, q = demand.demand_at(network, t)
-        point = solve_load_flow(network, p, q)
-        linearizations.append(compute_sensitivities(network, point))
+    """Solve the EV-free load flow and linearize once per time step, or
+    reuse the grid's linearization for a demand of the same content."""
     return PlanInstance(
         network=network,
         demand=demand,
@@ -136,6 +188,6 @@ def prepare_instance(
         scenario=scenario,
         chargers=chargers,
         limits=limits or GridLimits(),
-        linearizations=linearizations,
+        linearizations=_linearize(network, demand),
         mpc_slow_literal=mpc_slow_literal,
     )

@@ -160,11 +160,11 @@ def _write_mps(fh, model: MilpModel, rows: list[str], cols: list[str]) -> None:
     )
     first_head = np.arange(n)
     first_head[switch] = n + np.arange(len(switch))
+    entry_col = np.repeat(np.arange(n), np.diff(ptr))
 
     def cells(a, b):
-        k = np.arange(a, b)
-        col = np.searchsorted(ptr, k, side="right") - 1
-        pos = k - ptr[col]
+        col = entry_col[a:b]
+        pos = np.arange(a, b) - ptr[col]
         head = np.where(pos % 2 == 1, len(heads) - 1, np.where(pos == 0, first_head[col], col))
         return [heads[head], fields[A.indices[a:b]], values(A.data[a:b])]
 

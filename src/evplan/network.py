@@ -56,6 +56,8 @@ class BusNetwork:
     base_kva: float
     base_kv: float
     _index: dict = field(init=False, repr=False, compare=False, default=None)
+    # The last EV-free linearization made on this grid; see evplan.instance.
+    _linearization: object = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         ids = [b.id for b in self.buses]

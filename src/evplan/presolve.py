@@ -15,7 +15,8 @@ below discovers all of that generically:
    (a pair of opposite implications is also a merge),
  * zero-cost columns appearing in a single row are removed when the row is
    satisfiable for any value of the remaining variables,
- * empty columns move to their cheapest bound.
+ * empty columns move to their cheapest bound; one whose cost falls
+   without limit (no bound on its cheap side) ends presolve as unbounded.
 
 The state is numpy arrays: the live matrix entries as COO arrays in row
 order, per-row sense, right-hand side and liveness, per-column bounds,
@@ -73,7 +74,7 @@ class ReducedModel:
 
 @dataclass
 class PresolveResult:
-    status: str  # reduced | infeasible
+    status: str  # reduced | infeasible | unbounded
     reduced: ReducedModel | None = None
     fixed: dict[int, float] = field(default_factory=dict)  # original col -> value
     singletons: list[tuple] = field(default_factory=list)
@@ -111,6 +112,8 @@ def presolve(model: MilpModel) -> PresolveResult:
         changed = work.one_pass()
         if work.infeasible:
             return PresolveResult(status="infeasible", n_original=model.n_cols)
+        if work.unbounded:
+            return PresolveResult(status="unbounded", n_original=model.n_cols)
         if not changed:
             break
     reduced, fixed, singles = work.finish()
@@ -148,6 +151,7 @@ class _Working:
         self.fixed: dict[int, float] = {}
         self.singles: list[tuple] = []
         self.infeasible = False
+        self.unbounded = False
 
     # -- helpers ---------------------------------------------------------
 
@@ -412,6 +416,9 @@ class _Working:
         return bool(taken.size)
 
     def _fix_empty_columns(self) -> bool:
+        """Fix each empty column at its cheapest bound (a free zero-cost one
+        at 0.0). A column whose cost improves without limit makes the model
+        unbounded, which ends the passes."""
         uses = np.bincount(self.col, minlength=len(self.lb))
         empty = np.flatnonzero(self.col_live & (uses == 0)).tolist()
         for c in empty:
@@ -420,6 +427,9 @@ class _Working:
             else:
                 target = self.ub[c]
             if not isfinite(target):
+                if self.obj[c] != 0:
+                    self.unbounded = True
+                    return True
                 target = 0.0
             self._fix(c, target)
         return bool(empty)

@@ -131,7 +131,7 @@ def soc_series(instance: PlanInstance, assignment: PlanAssignment) -> np.ndarray
 class PlanSolution:
     """Solver outcome for one instance/configuration; built by ``plan_solution``."""
 
-    status: str  # optimal | gap-optimal | infeasible | limit | imported
+    status: str  # optimal | gap-optimal | infeasible | unbounded | limit | imported
     objective: float | None
     bound: float
     gap: float | None

@@ -11,7 +11,7 @@ from evplan.builder import build_plan_model
 from evplan.errors import ParameterError
 from evplan.fleet import generate_commute_fleet
 from evplan.instance import prepare_instance
-from evplan.milp import BINARY, MilpModel
+from evplan.milp import BINARY, CONTINUOUS, MilpModel
 from evplan.oracle import brute_force_oracle
 from evplan.presolve import presolve
 from evplan.solution import solution_from_result
@@ -57,6 +57,26 @@ def test_pure_binary_knapsack():
 
 def test_infeasible_milp():
     assert solve_bnb(_infeasible(), EXACT).status == "infeasible"
+
+
+def test_unbounded_milp_has_no_point():
+    # Presolve finds x in no row; then a row it keeps, and the root LP
+    # finds the ray x = y + t.
+    m = MilpModel()
+    x = m.add_column("x", CONTINUOUS, 0, np.inf, obj=-1.0)
+    b = m.add_column("b", BINARY, 0, 1, obj=1.0)
+    m.add_row("r", [(x, 1.0), (b, -1.0)], "G", -5.0)
+    by_presolve = solve_bnb(m.freeze(), EXACT)
+    m = MilpModel()
+    x = m.add_column("x", CONTINUOUS, 0, np.inf, obj=-1.0)
+    y = m.add_column("y", CONTINUOUS, 0, np.inf, obj=-1.0)
+    b = m.add_column("b", BINARY, 0, 1, obj=1.0)
+    m.add_row("r", [(x, 1.0), (y, -1.0), (b, 0.5)], "L", 1.0)
+    by_lp = solve_bnb(m.freeze(), EXACT)
+    assert by_presolve.presolved_size is None and by_lp.presolved_size == (1, 3, 3)
+    for res in (by_presolve, by_lp):
+        assert res.status == "unbounded"
+        assert res.x is None and res.objective is None and res.bound == -np.inf
 
 
 def test_node_limit_reports_limit():

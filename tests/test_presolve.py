@@ -117,6 +117,17 @@ def test_infeasible_detected():
     assert presolve(m).status == "infeasible"
 
 
+def test_empty_column_with_unbounded_cost_is_unbounded():
+    # The row holds for every x >= 0 and binary b, so presolve drops it and
+    # leaves x in no row, its cost falling without limit.
+    m = MilpModel()
+    x = m.add_column("x", CONTINUOUS, 0, np.inf, obj=-1.0)
+    b = m.add_column("b", BINARY, 0, 1, obj=1.0)
+    m.add_row("r", [(x, 1.0), (b, -1.0)], "G", -5.0)
+    m.freeze()
+    assert presolve(m).status == "unbounded"
+
+
 def merged_integer_model(y_min: float) -> MilpModel:
     """Binary b tied to continuous y in [0, 10] by b - y = 0. Rows 2y <= 1
     and y >= ``y_min`` tighten y in the pass that merges b and y, so b's

@@ -351,9 +351,10 @@ class _Search:
             stop = "unbounded"
         result = self._finish(stop)
         inc = "-" if self.incumbent_x is None else f"{self.incumbent_obj:.1f}"
+        basis = "-" if self.pre.status != "reduced" else "dense" if self.engine.dense else "sparse"
         log.info(
-            "[bnb] stop=%s nodes=%d lp_iterations=%d bound=%.1f incumbent=%s",
-            stop, self.nodes_done, self.lp_iters, self.best_bound, inc,
+            "[bnb] stop=%s nodes=%d lp_iterations=%d bound=%.1f incumbent=%s basis=%s",
+            stop, self.nodes_done, self.lp_iters, self.best_bound, inc, basis,
         )
         return result
 

@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.optimize import linprog
 
+from evplan import simplex
+from evplan.builder import build_plan_model
+from evplan.fleet import generate_commute_fleet
+from evplan.instance import prepare_instance
 from evplan.milp import CONTINUOUS, MilpModel
-from evplan.simplex import BoundedSimplex, solve_lp
+from evplan.simplex import AT_FREE, AT_LOWER, AT_UPPER, BASIC, BoundedSimplex, solve_lp
 
 
 def _model(c, A, senses, b, lb, ub):
@@ -37,6 +42,25 @@ def _reference(c, A, senses, b, bounds):
 
 
 LINPROG_STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
+
+# DENSE_MAX_ROWS values that give every engine built under them one basis
+# representation: a sparse LU with etas, or a dense inverse.
+REPRESENTATIONS = {"sparse": -1, "dense": 10**9}
+
+
+def _assert_dual_feasible(engine):
+    """No movable nonbasic column of the engine's basis has a reduced cost of
+    the wrong sign for the bound it sits at. The reduced costs are computed
+    afresh with a dense solve, apart from the engine's own inverse."""
+    A = engine.Aaug_csc.toarray()
+    y = np.linalg.solve(A[:, engine.basic].T, engine.c[engine.basic])
+    d = engine.c - A.T @ y
+    tol = 1e-7 * (1.0 + np.abs(engine.c).max())
+    stat, movable = engine.status, engine.movable
+    assert np.all(stat[engine.basic] == BASIC)
+    assert not np.any(movable & (stat == AT_LOWER) & (d < -tol))
+    assert not np.any(movable & (stat == AT_UPPER) & (d > tol))
+    assert not np.any((stat == AT_FREE) & (np.abs(d) > tol))
 
 
 def test_min_x_subject_to_x_ge_3():
@@ -83,7 +107,7 @@ def test_deterministic_repetition():
 
 
 @pytest.mark.parametrize("trial", range(30))
-def test_random_cross_check_against_linprog(trial):
+def test_random_cross_check_against_linprog(trial, monkeypatch):
     rng = np.random.default_rng(1000 + trial)
     mm, nn = int(rng.integers(4, 30)), int(rng.integers(4, 30))
     A = rng.normal(size=(mm, nn)) * (rng.random((mm, nn)) < 0.45)
@@ -93,11 +117,16 @@ def test_random_cross_check_against_linprog(trial):
     b += np.where(senses == "L", rng.random(mm), np.where(senses == "G", -rng.random(mm), 0.0))
     c = rng.normal(size=nn)
     m = _model(c, A, senses, b, [0.0] * nn, [1.0] * nn)
-    mine = solve_lp(m)
     ref = _reference(c, A, senses, b, [(0, 1)] * nn)
     assert ref.status == 0
-    assert mine.status == "optimal"
-    assert mine.objective == pytest.approx(ref.fun, abs=1e-6 * max(1, abs(ref.fun)))
+    for kind, limit in REPRESENTATIONS.items():
+        monkeypatch.setattr(simplex, "DENSE_MAX_ROWS", limit)
+        engine = BoundedSimplex(m.A, m.rhs, list(m.row_sense), m.obj)
+        assert engine.dense == (kind == "dense")
+        mine = engine.solve(m.lb, m.ub)
+        assert mine.status == "optimal"
+        assert mine.objective == pytest.approx(ref.fun, abs=1e-6 * max(1, abs(ref.fun)))
+        _assert_dual_feasible(engine)
 
 
 def test_warm_start_matches_cold():
@@ -120,9 +149,16 @@ def test_warm_start_matches_cold():
 
 
 @pytest.mark.parametrize("trial", range(4))
-def test_resolve_through_bound_changes_matches_cold_linprog(trial):
+def test_resolve_through_bound_changes_matches_cold_linprog(trial, monkeypatch):
+    for limit in REPRESENTATIONS.values():
+        monkeypatch.setattr(simplex, "DENSE_MAX_ROWS", limit)
+        _resolve_through_bound_changes(trial)
+
+
+def _resolve_through_bound_changes(trial):
     """One engine re-solved through random tightenings and relaxations, some
-    of them infeasible, agrees with a cold HiGHS solve at every step."""
+    of them infeasible, agrees with a cold HiGHS solve at every step and
+    leaves a dual-feasible basis at every optimum."""
     rng = np.random.default_rng(500 + trial)
     mm, nn = 14, 20
     A = rng.normal(size=(mm, nn)) * (rng.random((mm, nn)) < 0.4)
@@ -152,8 +188,32 @@ def test_resolve_through_bound_changes_matches_cold_linprog(trial):
         assert mine.status == LINPROG_STATUS[ref.status]
         if ref.status == 0:
             assert mine.objective == pytest.approx(ref.fun, abs=1e-8)
+            _assert_dual_feasible(engine)
         seen.append(mine.status)
     assert "infeasible" in seen[:-1] and "optimal" in seen
+
+
+def test_unpresolved_desk_lp_matches_highs(cigre_network, cigre_demand):
+    """The LP relaxation of the bundled-grid desk model (17 vehicles, seed
+    42, scenario A, single-port chargers), solved without presolve, equals a
+    cold HiGHS solve. Its dual pass ends on a basis whose updated reduced
+    costs call it dual infeasible; the primal pass finishes it."""
+    sched, vehicles = generate_commute_fleet(
+        cigre_network.cluster_nodes(1), cigre_network.cluster_nodes(2), 17, seed=42
+    )
+    inst = prepare_instance(cigre_network, cigre_demand, sched, vehicles,
+                            scenario="A", chargers="spc")
+    m = build_plan_model(inst)
+    assert m.n_rows == 5403
+    res = solve_lp(m)
+    senses = np.asarray(m.row_sense)
+    sign = np.where(senses == "G", -1.0, 1.0)
+    ineq = senses != "E"
+    signed = sp.diags(sign) @ m.A
+    ref = linprog(m.obj, A_ub=signed[ineq], b_ub=(sign * m.rhs)[ineq], A_eq=m.A[~ineq],
+                  b_eq=m.rhs[~ineq], bounds=list(zip(m.lb, m.ub)), method="highs")
+    assert ref.status == 0 and res.status == "optimal"
+    assert res.objective == pytest.approx(ref.fun, rel=1e-7)
 
 
 def test_model_without_rows():

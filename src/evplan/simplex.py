@@ -16,23 +16,28 @@ a free column has one), the start is not dual feasible. Those reduced costs
 are shifted to zero, the dual pass reaches a primal-feasible basis, and the
 primal simplex finishes on the true costs; it also detects unboundedness.
 
-The basis inverse has two representations behind one interface (ftran,
-btran, a row of B^-1, a pivot update), chosen from the row count when the
-engine is built:
+The basis has two representations behind one interface (ftran, btran, the
+pivot row of a basis position, the entering column of a column, a pivot
+update), chosen from the row count when the engine is built:
 
 - Bases of more than DENSE_MAX_ROWS rows keep a sparse LU factorization
   plus product-form eta updates, rebuilt once the etas hold more nonzeros
-  than the factors or after REFACTOR_EVERY updates.
-- Smaller bases keep an explicit dense B^-1, made from the same SuperLU
-  factors and changed by one rank-1 update per pivot, rebuilt after
-  REFACTOR_EVERY updates. An ftran is one matrix-vector product, the dual
-  pass's pivot row is a row of B^-1, and pricing runs on a dense [A I].
-  Below about a hundred rows a SuperLU solve and a Python step per eta cost
-  more than the arithmetic does. Measured on the bundled grid (branch and
-  bound at gap 0.10, two cores, BLAS on one thread or at its default), the
-  dense form searched 1.7-2.7 times as fast at 110 rows and 1.3-1.7 times
-  as fast at 202 rows, but 1.5-2.4 times slower at 310 rows over 300
-  nodes; the threshold of 128 rows keeps it where it wins by a margin.
+  than the factors or after REFACTOR_EVERY updates. A pivot row is [A I]'
+  times a btran of a unit vector, an entering column an ftran of a column
+  of [A I].
+- Smaller bases keep the whole tableau T = B^-1 [A I] as a dense matrix,
+  made from the same SuperLU factors and changed by one rank-1 update per
+  pivot, rebuilt after REFACTOR_EVERY updates. The pivot row is a row of
+  T and the entering column a column of T, so a dual step makes no solve
+  and no product with [A I]; the update costs m (n + m) flops, as the
+  pivot-row product it replaces did. T's slack block is B^-1, which serves
+  ftran and btran. Below about a hundred rows a SuperLU solve and a Python
+  step per eta cost more than the arithmetic does. Measured on the bundled
+  grid (branch and bound at gap 0.10 over 100 or 300 nodes, two cores, BLAS
+  on one thread or at its default), the tableau searched 2.1-3.0 times as
+  fast as the sparse form at 110 rows, 1.6-2.2 times at 202 rows and
+  1.1-1.5 times at 310 rows, but 1.2-1.5 times slower at 412 rows; the
+  threshold of 128 rows keeps it where it wins by a wide margin.
 
 Either way the engine recomputes the basic values and reduced costs from
 scratch at each rebuild. The dual pass picks the row with the largest bound
@@ -66,7 +71,7 @@ DUAL_TOL = 1e-9
 PIVOT_TOL = 1e-10
 RATIO_TIE = 1e-9
 REFACTOR_EVERY = 100
-DENSE_MAX_ROWS = 128  # bases of at most this many rows keep a dense inverse
+DENSE_MAX_ROWS = 128  # bases of at most this many rows keep a dense tableau
 STALL_LIMIT = 300
 ITER_LIMIT_BASE = 20000  # iterations per solve: base + per column (structural and slack)
 ITER_LIMIT_PER_COLUMN = 10
@@ -89,13 +94,15 @@ def solve_lp(model: MilpModel, lb: np.ndarray | None = None, ub: np.ndarray | No
 
 
 class _SparseInverse:
-    """B^-1 as SuperLU factors of B and a product-form eta file."""
+    """B^-1 as SuperLU factors of B and a product-form eta file; tableau rows
+    and columns are computed from the CSC matrix [A I] when asked for."""
 
-    def __init__(self, B):
+    def __init__(self, B, A):
         self.lu = spla.splu(B)
         self.lu_nnz = self.lu.L.nnz + self.lu.U.nnz
         self.etas = []
         self.eta_nnz = 0
+        self.A, self.AT = A, A.T
 
     def ftran(self, v):
         v = self.lu.solve(v)
@@ -112,30 +119,41 @@ class _SparseInverse:
             v[r] = (v[r] - w_val.dot(v[w_idx])) / piv
         return self.lu.solve(v, trans="T")
 
-    def row(self, r):
+    def pivot_row(self, r):
+        """Row r of B^-1 [A I]."""
         e = np.zeros(self.lu.shape[0])
         e[r] = 1.0
-        return self.btran(e)
+        return self.AT @ self.btran(e)
+
+    def column(self, q):
+        """B^-1 times column q of [A I]."""
+        A = self.A
+        out = np.zeros(self.lu.shape[0])
+        start, end = A.indptr[q], A.indptr[q + 1]
+        out[A.indices[start:end]] = A.data[start:end]
+        return self.ftran(out)
 
     def update(self, r, w) -> bool:
         """Column ``w`` (an ftran) replaces basis position ``r``; True when
         the inverse should be rebuilt."""
-        nz = np.flatnonzero(np.abs(w) > 1e-13)
+        nz = (np.abs(w) > 1e-13).nonzero()[0]
         nz = nz[nz != r]
         self.etas.append((r, nz, w[nz].copy(), w[r]))
         self.eta_nnz += nz.size + 1
         return len(self.etas) >= REFACTOR_EVERY or self.eta_nnz > self.lu_nnz
 
 
-class _DenseInverse:
-    """B^-1 as an explicit dense matrix, updated in place at each pivot."""
+class _DenseTableau:
+    """The tableau T = B^-1 [A I] as a dense matrix, updated in place at each
+    pivot. Its slack block is B^-1."""
 
-    def __init__(self, B):
+    def __init__(self, B, A):
         # SuperLU's own triangular solves, not np.linalg.inv: with BLAS
         # threads at their default, inv of a 110-row basis took up to 0.13 s
-        # on a busy two-core machine. Fortran order lets dger update it in
-        # place.
-        self.inv = np.asfortranarray(spla.splu(B).solve(np.eye(B.shape[0])))
+        # on a busy two-core machine. The solve returns Fortran order, which
+        # lets dger update T in place.
+        self.T = np.asfortranarray(spla.splu(B).solve(A))
+        self.inv = self.T[:, A.shape[1] - B.shape[0]:]
         self.updates = 0
 
     def ftran(self, v):
@@ -144,15 +162,19 @@ class _DenseInverse:
     def btran(self, v):
         return v @ self.inv
 
-    def row(self, r):
-        return self.inv[r]
+    def pivot_row(self, r):
+        return self.T[r]
+
+    def column(self, q):
+        return self.T[:, q]
 
     def update(self, r, w) -> bool:
-        # The eta step as one rank-1 change: row r of B^-1 is divided by the
-        # pivot, and w_i times the new row r leaves every other row i.
-        pivot_row = self.inv[r] / w[r]
-        self.inv = blas.dger(-1.0, w, pivot_row, a=self.inv, overwrite_a=True)
-        self.inv[r] = pivot_row
+        # The eta step as one rank-1 change: row r of T is divided by the
+        # pivot, and w_i times the new row r leaves every other row i. w may
+        # be a view of T, so dger gets a copy.
+        pivot_row = self.T[r] / w[r]
+        blas.dger(-1.0, w.copy(), pivot_row, a=self.T, overwrite_a=True)
+        self.T[r] = pivot_row
         self.updates += 1
         return self.updates >= REFACTOR_EVERY
 
@@ -178,24 +200,25 @@ class BoundedSimplex:
             A = sp.diags(scale) @ A
             b = b * scale
 
-        slack_lb = np.empty(m)
-        slack_ub = np.empty(m)
+        # Bounds of the n structural and m slack columns. A solve writes the
+        # structural part; the slack part follows from the row senses.
+        self.lb = np.zeros(n + m)
+        self.ub = np.zeros(n + m)
         for i, s in enumerate(senses):
             if s == SENSE_LE:
-                slack_lb[i], slack_ub[i] = 0.0, np.inf
+                self.ub[n + i] = np.inf
             elif s == SENSE_GE:
-                slack_lb[i], slack_ub[i] = -np.inf, 0.0
-            elif s == SENSE_EQ:
-                slack_lb[i], slack_ub[i] = 0.0, 0.0
-            else:
+                self.lb[n + i] = -np.inf
+            elif s != SENSE_EQ:
                 raise ValueError(f"unknown sense {s!r}")
-        self.slack_lb, self.slack_ub = slack_lb, slack_ub
+        self.lb_finite, self.ub_finite = np.isfinite(self.lb), np.isfinite(self.ub)
+        self.movable = self.lb != self.ub
 
-        # [A I] in CSC gives the basis and entering columns. The products
-        # run on Aaug: a dense copy next to a dense inverse, else the CSC
-        # matrix itself, whose AT is a CSR view of its arrays. With sorted
-        # indices, a product with either adds each row's terms in column
-        # order, as a product with a separate CSR copy would.
+        # [A I] in CSC gives the basis columns. The products run on Aaug: a
+        # dense copy next to a dense tableau, else the CSC matrix itself,
+        # whose AT is a CSR view of its arrays. With sorted indices, a
+        # product with either adds each row's terms in column order, as a
+        # product with a separate CSR copy would.
         self.Aaug_csc = sp.hstack([A, sp.eye(m, format="csc")], format="csc")
         self.Aaug_csc.sort_indices()
         self.dense = m <= DENSE_MAX_ROWS
@@ -206,6 +229,7 @@ class BoundedSimplex:
         self.dual_tol2 = DUAL_TOL * (
             1.0 + float(np.max(np.abs(self.c))) if self.c.size else 1.0
         )
+        self.max_iter = ITER_LIMIT_BASE + ITER_LIMIT_PER_COLUMN * (n + m)
         self.basic: np.ndarray | None = None  # None: the next solve starts from the slack basis
         self.d: np.ndarray | None = None  # reduced costs of the basis, None when stale
 
@@ -220,7 +244,7 @@ class BoundedSimplex:
         np.cumsum(counts, out=indptr[1:])
         take = np.repeat(starts - indptr[:-1], counts) + np.arange(indptr[-1])
         B = sp.csc_matrix((A.data[take], A.indices[take], indptr), shape=(self.m, self.m))
-        self.inv = (_DenseInverse if self.dense else _SparseInverse)(B)
+        self.inv = (_DenseTableau if self.dense else _SparseInverse)(B, self.Aaug)
         self._recompute_basics()
         self.d = self._price()
 
@@ -228,7 +252,7 @@ class BoundedSimplex:
         x_nb = self.x.copy()
         x_nb[self.basic] = 0.0
         xb = self.inv.ftran(self.b - self.Aaug @ x_nb)
-        if not np.all(np.isfinite(xb)):
+        if not np.isfinite(xb).all():
             raise FloatingPointError("basis solve produced non-finite values")
         self.x[self.basic] = xb
 
@@ -238,18 +262,19 @@ class BoundedSimplex:
         d[self.basic] = 0.0
         return d
 
-    def _column(self, q):
-        out = np.zeros(self.m)
-        start, end = self.Aaug_csc.indptr[q], self.Aaug_csc.indptr[q + 1]
-        out[self.Aaug_csc.indices[start:end]] = self.Aaug_csc.data[start:end]
-        return out
-
     def _replace(self, block, q, w):
         """Column ``q`` takes basis position ``block``; ``w`` is its ftran."""
         self.status[q] = BASIC
+        self.dir[q] = 0.0
         self.basic[block] = q
+        self.lb_b[block], self.ub_b[block] = self.lb[q], self.ub[q]
         if self.inv.update(block, w):
             self._refactor()
+
+    def _at_bound(self, j, to):
+        """Nonbasic column ``j`` goes to bound ``to`` (AT_LOWER or AT_UPPER)."""
+        self.status[j] = to
+        self.dir[j] = (1.0 if to == AT_LOWER else -1.0) if self.movable[j] else 0.0
 
     def _slack_start(self):
         n, m = self.n, self.m
@@ -257,47 +282,60 @@ class BoundedSimplex:
         self.status[n:] = BASIC
         self.x = np.zeros(n + m)
         self.basic = np.arange(n, n + m)
+        self.lb_b, self.ub_b = self.lb[self.basic], self.ub[self.basic]
         self._refactor()
 
     def _place_nonbasics(self) -> bool:
         """Put each nonbasic column at the bound its reduced cost asks for;
         a column whose reduced cost is zero stays at the bound it sat at.
         Reduced costs that no finite bound fits are shifted to zero in the
-        working costs; returns whether any was."""
-        d, tol = self.d, self.dual_tol2
-        lb_fin, ub_fin = self.lb_finite, self.ub_finite
-        nonbasic = self.status != BASIC
-        bad = nonbasic & self.movable & (((d > tol) & ~lb_fin) | ((d < -tol) & ~ub_fin))
+        working costs; returns whether any was. Sets the direction in which
+        each column can leave its bound: +1 at lower, -1 at upper, 0 when
+        basic, fixed or free."""
+        d, tol, stat = self.d, self.dual_tol2, self.status
+        no_lb, no_ub = ~self.lb_finite, ~self.ub_finite
+        nonbasic = stat != BASIC
+        pos, neg = d > tol, d < -tol
+        bad = nonbasic & self.movable & ((pos & no_lb) | (neg & no_ub))
         shifted = bool(bad.any())
         if shifted:
             self.cost = self.c.copy()
             self.cost[bad] -= d[bad]
             d[bad] = 0.0
-        want_lo = d > tol
-        up = nonbasic & ub_fin & (
-            (d < -tol) | (~want_lo & ((self.status == AT_UPPER) | ~lb_fin))
-        )
-        lo = nonbasic & ~up & lb_fin
-        free = nonbasic & ~up & ~lo
-        self.status[up], self.x[up] = AT_UPPER, self.ub[up]
-        self.status[lo], self.x[lo] = AT_LOWER, self.lb[lo]
-        self.status[free], self.x[free] = AT_FREE, 0.0
+            pos &= ~bad
+            neg &= ~bad
+        up = nonbasic & self.ub_finite & (neg | (~pos & ((stat == AT_UPPER) | no_lb)))
+        np.copyto(stat, np.where(up, AT_UPPER, AT_LOWER), where=nonbasic)
+        np.copyto(self.x, np.where(up, self.ub, self.lb), where=nonbasic)
+        leave = (nonbasic & self.movable).astype(float)
+        self.dir = np.where(up, -leave, leave)
+        free = self.free  # a column that goes to neither bound has none
+        if free.size:
+            free = free[nonbasic[free]]
+            stat[free], self.x[free], self.dir[free] = AT_FREE, 0.0, 0.0
         return shifted
+
+    def _free_nonbasic(self):
+        """Free columns outside the basis; they can move either way."""
+        return self.free[self.status[self.free] == AT_FREE]
 
     # -- main entry ---------------------------------------------------------
 
     def solve(self, lb, ub) -> LpResult:
-        m, n = self.m, self.n
-        self.lb = np.concatenate([np.asarray(lb, dtype=float), self.slack_lb])
-        self.ub = np.concatenate([np.asarray(ub, dtype=float), self.slack_ub])
-        if np.any(self.lb > self.ub + 1e-12):
+        n = self.n
+        lb, ub = np.asarray(lb, dtype=float), np.asarray(ub, dtype=float)
+        if (lb > ub + 1e-12).any():
             return LpResult(status="infeasible")
-        self.lb_finite, self.ub_finite = np.isfinite(self.lb), np.isfinite(self.ub)
-        self.movable = ~(self.lb == self.ub)
-        self.max_iter = ITER_LIMIT_BASE + ITER_LIMIT_PER_COLUMN * (n + m)
+        self.lb[:n], self.ub[:n] = lb, ub
+        lb_fin, ub_fin = self.lb_finite[:n], self.ub_finite[:n]
+        np.isfinite(lb, out=lb_fin)
+        np.isfinite(ub, out=ub_fin)
+        np.not_equal(lb, ub, out=self.movable[:n])
+        self.free = (~(lb_fin | ub_fin)).nonzero()[0]
         self.iters = 0
         self.cost = self.c
         if self.basic is not None:
+            self.lb_b, self.ub_b = self.lb[self.basic], self.ub[self.basic]
             try:
                 if self.d is None:
                     self.d = self._price()
@@ -364,42 +402,43 @@ class BoundedSimplex:
     def _leaving_row(self):
         """Basis position with the largest bound violation (lowest position
         on ties; lowest column index once stalled), None when feasible."""
-        basic = self.basic
-        xb = self.x[basic]
-        viol = np.maximum(self.lb[basic] - xb, xb - self.ub[basic])
+        xb = self.x[self.basic]
+        viol = np.maximum(self.lb_b - xb, xb - self.ub_b)
         if self.bland:
-            rows = np.flatnonzero(viol > FEAS_TOL)
-            return int(rows[np.argmin(basic[rows])]) if rows.size else None
-        r = int(np.argmax(viol)) if viol.size else -1
-        return r if r >= 0 and viol[r] > FEAS_TOL else None
+            rows = (viol > FEAS_TOL).nonzero()[0]
+            return int(rows[self.basic[rows].argmin()]) if rows.size else None
+        if not viol.size:
+            return None
+        r = int(viol.argmax())
+        return r if viol[r] > FEAS_TOL else None
 
     def _dual_step(self, r) -> bool:
         """Move the basic column at position ``r`` to its violated bound;
         False when no column can enter, which proves the LP infeasible."""
         p = int(self.basic[r])
-        if self.x[p] < self.lb[p]:
-            target, s, to = self.lb[p], 1.0, AT_LOWER
+        if self.x[p] < self.lb_b[r]:
+            target, s, to = self.lb_b[r], 1.0, AT_LOWER
         else:
-            target, s, to = self.ub[p], -1.0, AT_UPPER
-        alpha = self.AT @ self.inv.row(r)  # row r of B^-1 [A I]
-        sa = s * alpha
-        stat = self.status
-        eligible = self.movable & (
-            ((stat == AT_LOWER) & (sa < -PIVOT_TOL))
-            | ((stat == AT_UPPER) & (sa > PIVOT_TOL))
-            | ((stat == AT_FREE) & (np.abs(alpha) > PIVOT_TOL))
-        )
-        idx = np.flatnonzero(eligible)
+            target, s, to = self.ub_b[r], -1.0, AT_UPPER
+        alpha = self.inv.pivot_row(r)  # row r of B^-1 [A I]
+        # A nonbasic column can enter when moving it off its bound moves
+        # column p toward its violated bound.
+        along = self.dir * alpha
+        eligible = along < -PIVOT_TOL if s > 0 else along > PIVOT_TOL
+        if self.free.size:
+            free = self._free_nonbasic()
+            eligible[free] = np.abs(alpha[free]) > PIVOT_TOL
+        idx = eligible.nonzero()[0]
         if idx.size == 0:
             return False
         weights = np.abs(alpha[idx])
         ratios = np.abs(self.d[idx]) / weights
-        ties = np.flatnonzero(ratios <= ratios.min() + RATIO_TIE)
-        k = int(ties[0]) if self.bland else int(ties[np.argmax(weights[ties])])
+        ties = (ratios <= ratios[ratios.argmin()] + RATIO_TIE).nonzero()[0]
+        k = int(ties[0]) if self.bland else int(ties[weights[ties].argmax()])
         q, t = int(idx[k]), float(ratios[k])
         self._track_stall(t)
 
-        w = self.inv.ftran(self._column(q))
+        w = self.inv.column(q)
         piv = w[r]
         if not abs(piv) > PIVOT_TOL:
             raise FloatingPointError("dual pivot vanished in the column solve")
@@ -407,8 +446,8 @@ class BoundedSimplex:
         self.x[self.basic] -= delta * w
         self.x[q] += delta
         self.x[p] = target
-        self.d += t * sa
-        stat[p] = to
+        self.d += (t * s) * alpha
+        self._at_bound(p, to)
         self._replace(r, q, w)
         self.d[self.basic] = 0.0
         return True
@@ -426,41 +465,29 @@ class BoundedSimplex:
         return "step"
 
     def _entering(self, d, tol):
-        stat = self.status
-        movable = self.movable
-        mask = (
-            ((stat == AT_LOWER) & movable & (d < -tol))
-            | ((stat == AT_UPPER) & movable & (d > tol))
-            | ((stat == AT_FREE) & (np.abs(d) > tol))
-        )
-        idx = np.flatnonzero(mask)
+        mask = self.dir * d < -tol
+        if self.free.size:
+            free = self._free_nonbasic()
+            mask[free] = np.abs(d[free]) > tol
+        idx = mask.nonzero()[0]
         if idx.size == 0:
             return None, 0
-        if self.bland:
-            q = int(idx[0])
-        else:
-            scores = np.abs(d[idx])
-            q = int(idx[int(np.argmax(scores))])
-        if stat[q] == AT_LOWER:
-            sigma = 1
-        elif stat[q] == AT_UPPER:
-            sigma = -1
-        else:
-            sigma = 1 if d[q] < 0 else -1
+        q = int(idx[0]) if self.bland else int(idx[np.abs(d[idx]).argmax()])
+        sigma = int(self.dir[q]) or (1 if d[q] < 0 else -1)
         return q, sigma
 
     def _pivot(self, q, sigma) -> bool:
         basic = self.basic
         xb = self.x[basic]
-        w = self.inv.ftran(self._column(q))
+        w = self.inv.column(q)
         rate = -sigma * w  # dx_basic / d(step)
 
         # Only rows whose basic value moves with the step can block it; the
         # ratio test runs on those positions of the basis.
-        rows = np.flatnonzero((rate > PIVOT_TOL) | (rate < -PIVOT_TOL))
+        rows = ((rate > PIVOT_TOL) | (rate < -PIVOT_TOL)).nonzero()[0]
         r_rate, r_xb = rate[rows], xb[rows]
         r_basic = basic[rows]
-        r_lo, r_ub = self.lb[r_basic], self.ub[r_basic]
+        r_lo, r_ub = self.lb_b[rows], self.ub_b[rows]
         lo_fin, ub_fin = self.lb_finite[r_basic], self.ub_finite[r_basic]
         ratios = np.full(rows.size, np.inf)
         to = np.zeros(rows.size, dtype=np.int8)
@@ -479,15 +506,15 @@ class BoundedSimplex:
             self._track_stall(step)
             self.x[basic] = xb + rate * step
             self.x[q] += sigma * step
-            self.status[q] = AT_UPPER if sigma > 0 else AT_LOWER
+            self._at_bound(q, AT_UPPER if sigma > 0 else AT_LOWER)
             return True
         if not np.isfinite(limit):
             return False  # unbounded direction
 
-        cands = np.flatnonzero(ratios <= limit + RATIO_TIE)
+        cands = (ratios <= limit + RATIO_TIE).nonzero()[0]
         weights = np.abs(w[rows[cands]])
         heavy = cands[weights >= weights.max() - 1e-12]
-        k = int(heavy[int(np.argmin(r_basic[heavy]))])
+        k = int(heavy[r_basic[heavy].argmin()])
         block = int(rows[k])
 
         step = max(float(ratios[k]), 0.0)
@@ -496,7 +523,7 @@ class BoundedSimplex:
         self.x[q] += sigma * step
 
         leave = int(basic[block])
-        self.status[leave] = to[k]
+        self._at_bound(leave, to[k])
         self.x[leave] = self.lb[leave] if to[k] == AT_LOWER else self.ub[leave]
         self._replace(block, q, w)
         return True

@@ -37,7 +37,9 @@ EXACT = SolverConfig(gap=0.0, abs_gap=1e-9)
 CONFIGS = [("spc", "A"), ("spc", "B"), ("mpc", "A"), ("mpc", "B")]
 TINY_SEEDS = list(range(1000, 1050))  # 50 seeded instances per configuration
 DESK_GAP = 0.10
-DESK_BUDGET = SolverConfig(gap=DESK_GAP, node_limit=6000, time_limit_s=420)
+# The node limit alone ends the 100-vehicle searches, so the plans that
+# criterion 4 compares do not depend on the speed of the machine.
+DESK_BUDGET = SolverConfig(gap=DESK_GAP, node_limit=6000)
 
 
 def announce(criterion: int, label: str, ok: bool) -> bool:

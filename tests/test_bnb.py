@@ -121,7 +121,7 @@ def test_search_end_is_logged_with_its_stop_reason(caplog, make, config, stop):
         res = solve_bnb(model, config)
     (last,) = [r.getMessage() for r in caplog.records if r.name == "evplan.bnb"][-1:]
     assert last.startswith(f"[bnb] stop={stop} nodes={res.nodes} lp_iterations={res.lp_iterations} ")
-    # Small presolved models keep a dense basis inverse; presolve alone
+    # Small presolved models keep a dense tableau; presolve alone
     # settles the infeasible one, so no engine is built.
     basis = "-" if res.presolved_size is None else "dense"
     assert last.endswith(f" basis={basis}")
@@ -190,22 +190,22 @@ def test_incumbent_satisfies_model():
 # objective, which an alternate optimal plan may sum in another order, is
 # also held to the exhaustive oracle's.
 PINNED_TRAJECTORIES = [
-    (1000, "spc", "A", "optimal", 1839.9999999999998, 1839.9999999999998, 472, 756, 46, 30, 160),
-    (1000, "spc", "B", "optimal", 1839.9999999999998, 1839.9999999999998, 472, 756, 46, 30, 160),
-    (1000, "mpc", "A", "optimal", 1840.0, 1840.0, 754, 1287, 52, 34, 178),
-    (1000, "mpc", "B", "optimal", 1840.0, 1840.0, 754, 1287, 52, 34, 178),
-    (1001, "spc", "A", "optimal", 920.0, 920.0, 27, 119, 53, 32, 184),
-    (1001, "spc", "B", "optimal", 920.0, 920.0, 27, 119, 53, 32, 184),
-    (1001, "mpc", "A", "optimal", 920.0, 920.0, 35, 172, 61, 38, 204),
-    (1001, "mpc", "B", "optimal", 920.0, 920.0, 35, 172, 61, 38, 204),
+    (1000, "spc", "A", "optimal", 1839.9999999999998, 1839.9999999999998, 458, 704, 46, 30, 160),
+    (1000, "spc", "B", "optimal", 1839.9999999999998, 1839.9999999999998, 458, 704, 46, 30, 160),
+    (1000, "mpc", "A", "optimal", 1840.0, 1840.0, 738, 1243, 52, 34, 178),
+    (1000, "mpc", "B", "optimal", 1840.0, 1840.0, 738, 1243, 52, 34, 178),
+    (1001, "spc", "A", "optimal", 919.9999999999998, 919.9999999999998, 27, 98, 53, 32, 184),
+    (1001, "spc", "B", "optimal", 919.9999999999998, 919.9999999999998, 27, 98, 53, 32, 184),
+    (1001, "mpc", "A", "optimal", 920.0, 920.0, 35, 170, 61, 38, 204),
+    (1001, "mpc", "B", "optimal", 920.0, 920.0, 35, 170, 61, 38, 204),
     (1002, "spc", "A", "optimal", 920.0, 920.0, 43, 78, 25, 17, 79),
     (1002, "spc", "B", "optimal", 920.0, 920.0, 43, 78, 25, 17, 79),
     (1002, "mpc", "A", "optimal", 920.0, 920.0, 70, 129, 31, 21, 91),
     (1002, "mpc", "B", "optimal", 920.0, 920.0, 70, 129, 31, 21, 91),
-    (1003, "spc", "A", "optimal", 1840.0, 1840.0, 82, 276, 46, 30, 160),
-    (1003, "spc", "B", "optimal", 1840.0, 1840.0, 82, 276, 46, 30, 160),
-    (1003, "mpc", "A", "optimal", 1840.0, 1840.0, 473, 774, 52, 34, 178),
-    (1003, "mpc", "B", "optimal", 1840.0, 1840.0, 473, 774, 52, 34, 178),
+    (1003, "spc", "A", "optimal", 1840.0, 1840.0, 85, 300, 46, 30, 160),
+    (1003, "spc", "B", "optimal", 1840.0, 1840.0, 85, 300, 46, 30, 160),
+    (1003, "mpc", "A", "optimal", 1840.0, 1840.0, 414, 783, 52, 34, 178),
+    (1003, "mpc", "B", "optimal", 1840.0, 1840.0, 414, 783, 52, 34, 178),
 ]
 
 

@@ -44,7 +44,7 @@ def _reference(c, A, senses, b, bounds):
 LINPROG_STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
 
 # DENSE_MAX_ROWS values that give every engine built under them one basis
-# representation: a sparse LU with etas, or a dense inverse.
+# representation: a sparse LU with etas, or a dense tableau.
 REPRESENTATIONS = {"sparse": -1, "dense": 10**9}
 
 
@@ -61,6 +61,26 @@ def _assert_dual_feasible(engine):
     assert not np.any(movable & (stat == AT_LOWER) & (d < -tol))
     assert not np.any(movable & (stat == AT_UPPER) & (d > tol))
     assert not np.any((stat == AT_FREE) & (np.abs(d) > tol))
+
+
+SLACK_BOUNDS = {"L": (0.0, np.inf), "G": (-np.inf, 0.0), "E": (0.0, 0.0)}
+
+
+def _assert_bookkeeping(engine, lb, ub, senses):
+    """The engine's kept state equals a fresh recomputation from the bounds,
+    the status and the basis: its bounds of every column, the direction in
+    which each column can leave its bound (+1 at lower, -1 at upper, 0 when
+    basic, fixed or free) and the bounds of the basic columns in basis
+    order."""
+    slack_lb, slack_ub = zip(*(SLACK_BOUNDS[s] for s in senses))
+    lb, ub = np.concatenate([lb, slack_lb]), np.concatenate([ub, slack_ub])
+    assert np.array_equal(engine.lb, lb) and np.array_equal(engine.ub, ub)
+    movable, stat = lb != ub, engine.status
+    direction = np.where(movable & (stat == AT_LOWER), 1.0,
+                         np.where(movable & (stat == AT_UPPER), -1.0, 0.0))
+    assert np.array_equal(engine.dir, direction)
+    assert np.array_equal(engine.lb_b, lb[engine.basic])
+    assert np.array_equal(engine.ub_b, ub[engine.basic])
 
 
 def test_min_x_subject_to_x_ge_3():
@@ -184,6 +204,7 @@ def _resolve_through_bound_changes(trial):
         if seen and seen[-1] == "infeasible":  # backtrack to the root box
             lb, ub = lb0.copy(), ub0.copy()
         mine = engine.solve(lb, ub)
+        _assert_bookkeeping(engine, lb, ub, senses)
         ref = _reference(c, A, senses, b, list(zip(lb, ub)))
         assert mine.status == LINPROG_STATUS[ref.status]
         if ref.status == 0:
@@ -191,6 +212,42 @@ def _resolve_through_bound_changes(trial):
             _assert_dual_feasible(engine)
         seen.append(mine.status)
     assert "infeasible" in seen[:-1] and "optimal" in seen
+
+
+def test_basis_forms_agree_through_a_pivot_sequence(monkeypatch):
+    """The sparse factors and the dense tableau, driven through one pivot
+    sequence past a rebuild of the tableau, give the same pivot rows and
+    entering columns, and the tableau's slack block stays the inverse of
+    the basis."""
+    rng = np.random.default_rng(11)
+    mm, nn = 20, 30
+    A = rng.normal(size=(mm, nn)) * (rng.random((mm, nn)) < 0.5)
+    m = _model(rng.normal(size=nn), A, ["L"] * mm, np.ones(mm), [0.0] * nn, [1.0] * nn)
+    engines = []
+    for limit in (REPRESENTATIONS["sparse"], REPRESENTATIONS["dense"]):
+        monkeypatch.setattr(simplex, "DENSE_MAX_ROWS", limit)
+        engine = BoundedSimplex(m.A, m.rhs, list(m.row_sense), m.obj)
+        engine.solve(m.lb, m.ub)
+        engine._slack_start()
+        engines.append(engine)
+    sparse, dense = engines
+    Aaug = dense.Aaug_csc.toarray()
+    rebuilt = False
+    for _ in range(simplex.REFACTOR_EVERY + 20):
+        q = int(rng.choice(np.flatnonzero(sparse.status != BASIC)))
+        w = sparse.inv.column(q)
+        r = int(np.argmax(np.abs(w)))
+        row = sparse.inv.pivot_row(r)
+        for got, want in ((dense.inv.column(q), w), (dense.inv.pivot_row(r), row)):
+            assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
+        for engine in engines:
+            engine._at_bound(int(engine.basic[r]), AT_LOWER)
+            engine._replace(r, q, engine.inv.column(q))
+        assert np.array_equal(sparse.basic, dense.basic)
+        rebuilt |= dense.inv.updates == 0
+        inv = np.linalg.inv(Aaug[:, dense.basic])
+        assert np.abs(dense.inv.inv - inv).max() <= 1e-9 * np.abs(inv).max()
+    assert rebuilt
 
 
 def test_unpresolved_desk_lp_matches_highs(cigre_network, cigre_demand):

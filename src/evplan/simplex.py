@@ -39,6 +39,13 @@ update), chosen from the row count when the engine is built:
   1.1-1.5 times at 310 rows, but 1.2-1.5 times slower at 412 rows; the
   threshold of 128 rows keeps it where it wins by a wide margin.
 
+Both forms import their linear algebra (SuperLU from scipy.sparse.linalg,
+dger from scipy.linalg.blas) when they factor their first basis, not when
+this module is imported. Building and exporting a model never factors a
+basis, so ``evplan build`` and ``evplan solve --import`` never load those
+libraries: the pipeline's imports then leave the process at 51 MB
+resident instead of 61 MB (scipy 1.17, Linux x86-64).
+
 Either way the engine recomputes the basic values and reduced costs from
 scratch at each rebuild. The dual pass picks the row with the largest bound
 violation and the column by the ratio |d_j / alpha_j| (ties to the largest
@@ -59,8 +66,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy.linalg import blas
 
 from .milp import SENSE_EQ, SENSE_GE, SENSE_LE, MilpModel
 
@@ -98,7 +103,9 @@ class _SparseInverse:
     and columns are computed from the CSC matrix [A I] when asked for."""
 
     def __init__(self, B, A):
-        self.lu = spla.splu(B)
+        from scipy.sparse.linalg import splu
+
+        self.lu = splu(B)
         self.lu_nnz = self.lu.L.nnz + self.lu.U.nnz
         self.etas = []
         self.eta_nnz = 0
@@ -152,7 +159,11 @@ class _DenseTableau:
         # threads at their default, inv of a 110-row basis took up to 0.13 s
         # on a busy two-core machine. The solve returns Fortran order, which
         # lets dger update T in place.
-        self.T = np.asfortranarray(spla.splu(B).solve(A))
+        from scipy.linalg.blas import dger
+        from scipy.sparse.linalg import splu
+
+        self.dger = dger
+        self.T = np.asfortranarray(splu(B).solve(A))
         self.inv = self.T[:, A.shape[1] - B.shape[0]:]
         self.updates = 0
 
@@ -173,7 +184,7 @@ class _DenseTableau:
         # pivot, and w_i times the new row r leaves every other row i. w may
         # be a view of T, so dger gets a copy.
         pivot_row = self.T[r] / w[r]
-        blas.dger(-1.0, w.copy(), pivot_row, a=self.T, overwrite_a=True)
+        self.dger(-1.0, w.copy(), pivot_row, a=self.T, overwrite_a=True)
         self.T[r] = pivot_row
         self.updates += 1
         return self.updates >= REFACTOR_EVERY

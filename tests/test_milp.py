@@ -1,7 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from evplan.builder import build_plan_model
 from evplan.errors import BuildError
+from evplan.fleet import generate_commute_fleet
+from evplan.instance import prepare_instance
 from evplan.milp import BINARY, CONTINUOUS, SENSE_EQ, SENSE_GE, SENSE_LE, Labels, MilpModel
 
 
@@ -91,3 +97,56 @@ def test_names_render_on_read_and_follow_later_blocks():
         "column y = 2 outside bounds",
         "row s[5,1]: activity 2 L 1 violated",
     ]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_freeze_equals_one_coo_conversion(seed):
+    # Blocks with duplicate entries, explicit zeros, unsorted entries, and
+    # blocks with no entries or no rows. The reference converts all nonzero
+    # entries at once from int64 global indices; the model drops zero
+    # values when a block arrives, so they are left out of it too.
+    rng = np.random.default_rng(seed)
+    m = MilpModel()
+    n = int(rng.integers(1, 30))
+    m.add_family("x", (n,), CONTINUOUS)
+    r_all, c_all, v_all = [], [], []
+    for _ in range(int(rng.integers(1, 12))):
+        size = int(rng.integers(0, 6))
+        nnz = int(rng.integers(0, 20)) if size else 0
+        rows = rng.integers(0, max(size, 1), nnz)
+        cols = rng.integers(0, n, nnz)
+        vals = rng.choice([0.0, 1.0, -2.5, 0.125], nnz)
+        r0 = m.add_rows(Labels(("r",), (np.arange(size),)), rows, cols, vals, SENSE_LE, 1.0)
+        r_all.append(rows.astype(np.int64) + m.n_rows - size)
+        c_all.append(cols.astype(np.int64))
+        v_all.append(vals)
+        assert r0.tolist() == list(range(m.n_rows - size, m.n_rows))
+    r, c, v = (np.concatenate(a) for a in (r_all, c_all, v_all))
+    keep = v != 0.0
+    ref = sp.coo_matrix((v[keep], (r[keep], c[keep])), shape=(m.n_rows, n)).tocsr()
+    m.freeze()
+    assert type(m.A) is type(ref) and m.A.shape == ref.shape
+    for field in ("data", "indices", "indptr"):
+        got, want = getattr(m.A, field), getattr(ref, field)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert np.array_equal(m.rhs, np.ones(m.n_rows))
+
+
+def test_build_peak_memory_stays_near_the_model_size(cigre_network, cigre_demand):
+    # The blocks are kept as int32 indices and freed while freeze
+    # concatenates them: the traced peak of a build stays within 2.5 times
+    # the memory the frozen model holds (4.4 times when the blocks were
+    # int64 and all alive through the conversion).
+    schedule, vehicles = generate_commute_fleet(
+        cigre_network.cluster_nodes(1), cigre_network.cluster_nodes(2), 50, seed=1
+    )
+    inst = prepare_instance(cigre_network, cigre_demand, schedule, vehicles,
+                            scenario="B", chargers="spc")
+    tracemalloc.start()
+    try:
+        model = build_plan_model(inst)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert model.n_rows > 10_000
+    assert peak <= 2.5 * held, (peak, held)

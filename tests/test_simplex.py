@@ -1,3 +1,9 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -8,7 +14,10 @@ from evplan.builder import build_plan_model
 from evplan.fleet import generate_commute_fleet
 from evplan.instance import prepare_instance
 from evplan.milp import CONTINUOUS, MilpModel
+from evplan.oracle import brute_force_oracle
 from evplan.simplex import AT_FREE, AT_LOWER, AT_UPPER, BASIC, BoundedSimplex, solve_lp
+
+from helpers import tiny_instance
 
 
 def _model(c, A, senses, b, lb, ub):
@@ -305,3 +314,47 @@ def test_reduced_costs_signs():
     # x0 at lower bound: reduced cost >= 0; x1 at upper: <= 0.
     assert res.reduced_costs[0] >= -1e-9
     assert res.reduced_costs[1] <= 1e-9
+
+
+# Run in a fresh interpreter: which of scipy's linear-algebra packages are
+# loaded after the pipeline imports, after a build and an MPS export, and
+# after a solve, and the solve's objective.
+FOOTPRINT_SCRIPT = """
+import json, sys
+LINALG = ("scipy.sparse.linalg", "scipy.linalg")
+loaded = lambda: [name for name in LINALG if name in sys.modules]
+import evplan.analysis, evplan.builder, evplan.mps_io, evplan.verify
+import evplan.cli
+out = {"imported": loaded()}
+from evplan.builder import build_plan_model
+from evplan.mps_io import export_mps
+from evplan.solution import SolverConfig, solve_plan
+from helpers import tiny_instance
+inst = tiny_instance(seed=SEED)
+model = build_plan_model(inst)
+export_mps(model, sys.argv[1])
+out["exported"] = loaded()
+sol = solve_plan(inst, SolverConfig(gap=0.0), model=model)
+out.update(solved=loaded(), status=sol.status, objective=sol.objective)
+print(json.dumps(out))
+"""
+
+
+def test_build_and_export_leave_the_linear_algebra_unloaded(tmp_path):
+    # evplan build and export never factor a basis, so they must not pay
+    # for SuperLU and BLAS; the first solve loads them and still reaches
+    # the exhaustive oracle's optimum.
+    seed = 200
+    src, tests = Path(simplex.__file__).resolve().parents[1], Path(__file__).resolve().parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), str(tests)])}
+    proc = subprocess.run(
+        [sys.executable, "-c", FOOTPRINT_SCRIPT.replace("SEED", str(seed)), str(tmp_path / "tiny.mps")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.splitlines()[-1])
+    assert out["imported"] == [] and out["exported"] == []
+    assert "scipy.sparse.linalg" in out["solved"]
+    orc = brute_force_oracle(tiny_instance(seed=seed), max_free_binaries=40)
+    assert orc.status == "optimal"
+    assert out["status"] == "optimal" and out["objective"] == orc.objective

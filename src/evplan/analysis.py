@@ -199,8 +199,7 @@ def injection_profiles(case: StudyCase):
         if bus.rating_kva is None:
             continue
         denom = bus.rating_kva * bus.power_factor
-        r = inst.demand.row(node)
-        values = (inst.demand.p_kw[r] + dp[k]) / denom
+        values = (inst.demand.active(node) + dp[k]) / denom
         series.append(values)
         for t in range(inst.horizon):
             rows.append(

@@ -342,10 +342,16 @@ def _case_from_payload(doc: dict, base) -> StudyCase:
         chargers=chargers,
         mpc_slow_literal=bool(doc.get("mpc_slow_literal", False)),
     )
-    assignment = PlanAssignment(
-        **{fam: np.asarray(doc["columns"][fam], dtype=int) for fam in BINARY_FAMILIES},
-        soc_start=np.asarray(doc["soc_start"], dtype=float),
-    )
+    if list(doc["node_ids"]) != list(base.node_ids):
+        raise ParameterError("the plan's node ids do not match the grid's")
+    shape = (base.n_vehicles, base.horizon)
+    columns = {fam: np.asarray(doc["columns"][fam], dtype=int) for fam in BINARY_FAMILIES}
+    columns["soc_start"] = np.asarray(doc["soc_start"], dtype=float)
+    for name, values in columns.items():
+        want = shape[:1] if name == "soc_start" else shape
+        if values.shape != want:
+            raise ParameterError(f"{name} is shaped {values.shape}; the fleet needs {want}")
+    assignment = PlanAssignment(**columns)
     bound = -np.inf if doc["bound"] is None else doc["bound"]
     figures = MilpSolveResult(status=doc["status"], bound=bound, gap=doc["gap"])
     return StudyCase(label, instance, plan_solution(instance, assignment, figures))

@@ -36,6 +36,13 @@ class NetDemandProfile:
     def row(self, node_id: int) -> int:
         return self.node_ids.index(node_id)
 
+    def active(self, node_id: int) -> np.ndarray:
+        """Active power at ``node_id`` per interval: zero at a node the
+        profile omits, as ``demand_at`` reads it."""
+        if node_id not in self.node_ids:
+            return np.zeros(self.horizon)
+        return self.p_kw[self.row(node_id)]
+
     def demand_at(self, network: BusNetwork, t: int) -> tuple[np.ndarray, np.ndarray]:
         """Per-bus arrays (network order) for one interval."""
         p = np.zeros(network.n_buses)
@@ -86,7 +93,10 @@ def _read_profile_csv(path: Path) -> tuple[list[int], np.ndarray]:
         for rec in reader:
             if not rec:
                 continue
-            nodes.append(int(rec[0]))
+            node = int(rec[0])
+            if node in nodes:
+                raise ParameterError(f"node {node} is listed twice")
+            nodes.append(node)
             rows.append([float(x) for x in rec[1:]])
             if not np.isfinite(rows[-1]).all():
                 raise ParameterError(f"node {nodes[-1]}: demand must be finite")

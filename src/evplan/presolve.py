@@ -25,15 +25,17 @@ Jacobi step over all live rows: row activities are summed in entry order
 with the infinite terms counted apart, each entry yields a candidate bound
 for its column, and each column takes the tightest of its candidates.
 
-A merged or removed column is retired by emptying its member list; the
-merge target or the removal record carries its original columns. Postsolve
-replays the recorded transforms to recover a full assignment.
+One integer array, ``owner``, records where each original column went:
+the working column whose value it takes; a merge renames through it.
+``finish`` turns it into the reduced model's column map ``col_of`` (-1 where
+presolve settled a column) and postsolve gathers through that map, then
+replays the removal records in reverse.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import inf, isfinite
+from math import inf
 
 import numpy as np
 import scipy.sparse as sp
@@ -51,6 +53,16 @@ def _sums(index, weights, n) -> np.ndarray:
     return np.bincount(index, weights, minlength=n).astype(float, copy=False)
 
 
+def _first_max(groups, values):
+    """Per group, in ascending order, the group and its largest value, the
+    first in array order among equal ones: what Python's ``max`` returns
+    over them, signed zeros included."""
+    order = np.lexsort((np.arange(len(values)), -values, groups))
+    groups, values = groups[order], values[order]
+    head = np.flatnonzero(np.diff(groups, prepend=-1))
+    return groups[head], values[head]
+
+
 @dataclass
 class ReducedModel:
     A: sp.csr_matrix
@@ -61,7 +73,7 @@ class ReducedModel:
     obj: np.ndarray
     is_int: np.ndarray
     obj_offset: float
-    members: list[list[int]]  # reduced column -> original columns
+    col_of: np.ndarray  # original column -> reduced column, -1 if settled
 
     @property
     def n_cols(self):
@@ -76,20 +88,15 @@ class ReducedModel:
 class PresolveResult:
     status: str  # reduced | infeasible | unbounded
     reduced: ReducedModel | None = None
-    fixed: dict[int, float] = field(default_factory=dict)  # original col -> value
+    fixed: np.ndarray | None = None  # original column -> fixed value, NaN if not fixed
     singletons: list[tuple] = field(default_factory=list)
-    n_original: int = 0
 
     def postsolve(self, x_reduced: np.ndarray) -> np.ndarray:
         """Expand a reduced-model assignment to the original columns."""
-        x = np.zeros(self.n_original)
-        for col, val in self.fixed.items():
-            x[col] = val
-        red = self.reduced
-        if red is not None:
-            for k, members in enumerate(red.members):
-                for col in members:
-                    x[col] = x_reduced[k]
+        x = self.fixed.copy()
+        col_of = self.reduced.col_of
+        kept = col_of >= 0
+        x[kept] = x_reduced[col_of[kept]]
         # Reverse order: a removed column may feed a row referenced by an
         # earlier removal.
         for cols, a, sense, rhs, others, lo, hi, integral in reversed(self.singletons):
@@ -111,9 +118,9 @@ def presolve(model: MilpModel) -> PresolveResult:
     for _ in range(MAX_PASSES):
         changed = work.one_pass()
         if work.infeasible:
-            return PresolveResult(status="infeasible", n_original=model.n_cols)
+            return PresolveResult(status="infeasible")
         if work.unbounded:
-            return PresolveResult(status="unbounded", n_original=model.n_cols)
+            return PresolveResult(status="unbounded")
         if not changed:
             break
     reduced, fixed, singles = work.finish()
@@ -122,7 +129,6 @@ def presolve(model: MilpModel) -> PresolveResult:
         reduced=reduced,
         fixed=fixed,
         singletons=singles,
-        n_original=model.n_cols,
     )
 
 
@@ -146,24 +152,28 @@ class _Working:
         self.obj = np.array(model.obj, dtype=float)
         self.is_int = np.array(model.is_int, dtype=bool)
         self.col_live = np.ones(n, dtype=bool)
-        self.members = [[j] for j in range(n)]
+        self.owner = np.arange(n)
         self.obj_offset = 0.0
-        self.fixed: dict[int, float] = {}
+        self.fixed = np.full(n, np.nan)  # working column -> fixed value
         self.singles: list[tuple] = []
         self.infeasible = False
         self.unbounded = False
 
     # -- helpers ---------------------------------------------------------
 
-    def _fix(self, col, val):
-        val = min(max(val, self.lb[col]), self.ub[col])
-        if self.is_int[col]:
-            val = np.round(val)  # keeps the sign of a zero result
-        val = float(val)
-        self.fixed[col] = val
-        self.obj_offset += float(self.obj[col]) * val
-        self.lb[col] = self.ub[col] = val
-        self.col_live[col] = False
+    def _fix(self, cols, vals):
+        """Fix ``cols`` at ``vals`` clamped to their bounds as Python's
+        ``min(max(val, lb), ub)`` clamps (a tie keeps the value), integer
+        columns rounded. Their costs join the offset one by one in ``cols``
+        order: ``cumsum`` adds sequentially, where ``sum`` would not."""
+        lb, ub = self.lb[cols], self.ub[cols]
+        vals = np.where(lb > vals, lb, vals)
+        vals = np.where(ub < vals, ub, vals)
+        vals = np.where(self.is_int[cols], np.round(vals), vals)  # keeps a zero's sign
+        self.fixed[cols] = vals
+        self.obj_offset = float(np.cumsum(np.append(self.obj_offset, self.obj[cols] * vals))[-1])
+        self.lb[cols] = self.ub[cols] = vals
+        self.col_live[cols] = False
 
     def _keep_entries(self, keep):
         self.row, self.col, self.val = self.row[keep], self.col[keep], self.val[keep]
@@ -206,10 +216,10 @@ class _Working:
         self._keep_entries(~hit)
         # Live columns not yet recorded as fixed (e.g. bounds collapsed by
         # tightening) get a fix record now.
-        collapsed = np.flatnonzero(self.col_live & (self.lb == self.ub)).tolist()
-        for c in collapsed:
-            self._fix(c, self.lb[c])
-        return bool(hit.any() or collapsed)
+        collapsed = np.flatnonzero(self.col_live & (self.lb == self.ub))
+        if collapsed.size:
+            self._fix(collapsed, self.lb[collapsed])
+        return bool(hit.any() or collapsed.size)
 
     def _propagate(self) -> bool:
         """Bound tightening from row activities, one Jacobi sweep over the
@@ -266,83 +276,63 @@ class _Working:
         return bool(raised.any() or cut.any() or dropped.any())
 
     def _merge_doubletons(self) -> bool:
-        # Collect x <= y implications from rows  a x - a y <= 0  (and the
-        # symmetric forms); equalities merge immediately.
-        parent = {}
-
-        def find(a):
-            root = a
-            while parent.get(root, root) != root:
-                root = parent[root]
-            while parent.get(a, a) != a:
-                parent[a], a = root, parent[a]
-            return root
-
-        def union(a, b):
-            ra, rb = find(a), find(b)
-            if ra == rb:
-                return ra
-            if rb < ra:
-                ra, rb = rb, ra
-            parent[rb] = ra
-            return ra
-
+        """Merge the columns of each row ``a x - a y = 0`` and of each pair
+        of opposite implications ``a x - a y <= 0`` and ``>= 0`` on the same
+        two columns. A group of merged columns takes the place of its
+        smallest column, summing their costs in column order."""
         count = np.bincount(self.row, minlength=len(self.rhs))
         rows = np.flatnonzero((count == 2) & (np.abs(self.rhs) <= FEAS_TOL))
+        if not rows.size:
+            return False
         first = np.searchsorted(self.row, rows)
         a1, a2 = self.val[first], self.val[first + 1]
         opposed = np.abs(a1 + a2) <= 1e-12 * np.maximum(np.abs(a1), np.abs(a2))
-        # Each row's entry with the positive coefficient, and the other one.
-        pos_e = np.where(a1 > 0, first, first + 1)[opposed]
-        neg_e = np.where(a1 > 0, first + 1, first)[opposed]
-        implications: dict[tuple[int, int], set[str]] = {}
-        merge_rows = []
-        for r, pos, neg in zip(rows[opposed].tolist(), self.col[pos_e].tolist(),
-                               self.col[neg_e].tolist()):
-            sense = self.senses[r]
-            if sense == SENSE_EQ:
-                union(pos, neg)
-                merge_rows.append(r)
-                continue
-            # a*pos - a*neg <= 0  ->  pos <= neg ; >= 0 -> pos >= neg
-            key = (min(pos, neg), max(pos, neg))
-            direction = "le" if (sense == SENSE_LE) == (key[0] == pos) else "ge"
-            implications.setdefault(key, set()).add((direction, r))
-        for (p, q), tags in implications.items():
-            dirs = {d for d, _ in tags}
-            if {"le", "ge"} <= dirs:
-                union(p, q)
-                merge_rows.extend(r for _, r in tags)
-
-        groups: dict[int, list[int]] = {}
-        for c in set(parent):
-            groups.setdefault(find(c), []).append(c)
-        if not groups:
+        rows = rows[opposed]
+        # Each row's column with the positive coefficient, and the other one.
+        pos = self.col[np.where(a1 > 0, first, first + 1)[opposed]]
+        neg = self.col[np.where(a1 > 0, first + 1, first)[opposed]]
+        # a*pos - a*neg <= 0  ->  pos <= neg ; >= 0 -> pos >= neg. Per pair
+        # of columns, an inequality each way makes an equality.
+        sense = self.senses[rows]
+        ineq = sense != SENSE_EQ
+        n = len(self.lb)
+        low, high = np.minimum(pos, neg), np.maximum(pos, neg)
+        le = ineq & ((sense == SENSE_LE) == (low == pos))
+        _, pair = np.unique(low * n + high, return_inverse=True)
+        both = (np.bincount(pair, le) > 0) & (np.bincount(pair, ineq & ~le) > 0)
+        merge = ~ineq | both[pair]
+        if not merge.any():
             return False
-        self._drop_rows(merge_rows)
-        remap = np.arange(len(self.lb))
-        for root, extra in groups.items():
-            cols = sorted(set(extra) | {root})
-            keep = cols[0]
-            for c in cols[1:]:
-                remap[c] = keep
-                self.members[keep].extend(self.members[c])
-                self.members[c] = []
-                self.col_live[c] = False
-                self.obj[keep] += self.obj[c]
-                self.is_int[keep] = self.is_int[keep] or self.is_int[c]
-                lo = max(self.lb[keep], self.lb[c])
-                hi = min(self.ub[keep], self.ub[c])
-                if self.is_int[keep]:
-                    # Rounded as _propagate rounds; a whole bound stays as
-                    # it is, since ceil(0.0 - 1e-7) is -0.0.
-                    lo = lo if lo == np.floor(lo) else np.ceil(lo - 1e-7)
-                    hi = hi if hi == np.floor(hi) else np.floor(hi + 1e-7)
-                if lo > hi + FEAS_TOL:
-                    self.infeasible = True
-                    return True
-                self.lb[keep], self.ub[keep] = lo, hi
-        self._remap_entries(remap)
+        self._drop_rows(rows[merge])
+        # Label each column with the smallest column it is joined to:
+        # min-label propagation with pointer jumping until every merge pair
+        # agrees.
+        u, v = pos[merge], neg[merge]
+        ends, label = np.concatenate((u, v)), np.arange(n)
+        while not np.array_equal(label[u], label[v]):
+            np.minimum.at(label, ends, np.tile(np.minimum(label[u], label[v]), 2))
+            label = label[label]
+        gone = np.flatnonzero(label != np.arange(n))
+        keep = label[gone]
+        np.add.at(self.obj, keep, self.obj[gone])  # in order of ``gone``
+        self.is_int[keep[self.is_int[gone]]] = True
+        # Each group's bounds as Python's max and min over its columns in
+        # order give them, ties keeping the first (signed zeros differ).
+        cols = np.flatnonzero(np.bincount(label, minlength=n)[label] > 1)
+        roots, lo = _first_max(label[cols], self.lb[cols])
+        hi = -_first_max(label[cols], -self.ub[cols])[1]
+        ints = self.is_int[roots]
+        # Rounded as _propagate rounds; a whole bound stays as it is, since
+        # ceil(0.0 - 1e-7) is -0.0.
+        lo = np.where(ints & (lo != np.floor(lo)), np.ceil(lo - 1e-7), lo)
+        hi = np.where(ints & (hi != np.floor(hi)), np.floor(hi + 1e-7), hi)
+        if np.any(lo > hi + FEAS_TOL):
+            self.infeasible = True
+            return True
+        self.lb[roots], self.ub[roots] = lo, hi
+        self.col_live[gone] = False
+        self.owner = label[self.owner]
+        self._remap_entries(label)
         return True
 
     def _remap_entries(self, remap):
@@ -394,24 +384,23 @@ class _Working:
         _, first = np.unique(r[ok], return_index=True)
         taken = cand[ok][first]
         for e in taken.tolist():
-            rr, cc = row[e], col[e]
+            rr, cc = row[e], int(col[e])
             lo_e, hi_e = np.searchsorted(row, [rr, rr + 1])
-            rep_others = [(self.members[k][0], v) for k, v in
-                          zip(col[lo_e:hi_e].tolist(), val[lo_e:hi_e].tolist()) if k != cc]
+            others = [(k, v) for k, v in
+                      zip(col[lo_e:hi_e].tolist(), val[lo_e:hi_e].tolist()) if k != cc]
             self.singles.append(
                 (
-                    self.members[cc],
+                    cc,  # finish swaps in the original columns it owns
                     float(val[e]),
                     str(self.senses[rr]),
                     float(self.rhs[rr]),
-                    rep_others,
+                    others,
                     float(self.lb[cc]),
                     float(self.ub[cc]),
                     bool(self.is_int[cc]),
                 )
             )
-            self.members[cc] = []  # retired: postsolve sets it from the record
-            self.col_live[cc] = False
+        self.col_live[col[taken]] = False
         self._drop_rows(row[taken])
         return bool(taken.size)
 
@@ -420,19 +409,17 @@ class _Working:
         at 0.0). A column whose cost improves without limit makes the model
         unbounded, which ends the passes."""
         uses = np.bincount(self.col, minlength=len(self.lb))
-        empty = np.flatnonzero(self.col_live & (uses == 0)).tolist()
-        for c in empty:
-            if self.obj[c] > 0 or (self.obj[c] == 0 and isfinite(self.lb[c])):
-                target = self.lb[c]
-            else:
-                target = self.ub[c]
-            if not isfinite(target):
-                if self.obj[c] != 0:
-                    self.unbounded = True
-                    return True
-                target = 0.0
-            self._fix(c, target)
-        return bool(empty)
+        empty = np.flatnonzero(self.col_live & (uses == 0))
+        if not empty.size:
+            return False
+        obj, lb = self.obj[empty], self.lb[empty]
+        target = np.where((obj > 0) | ((obj == 0) & np.isfinite(lb)), lb, self.ub[empty])
+        free = ~np.isfinite(target)
+        if np.any(free & (obj != 0)):
+            self.unbounded = True
+            return True
+        self._fix(empty, np.where(free, 0.0, target))
+        return True
 
     # -- output -------------------------------------------------------------
 
@@ -459,7 +446,14 @@ class _Working:
             obj=self.obj[alive],
             is_int=self.is_int[alive],
             obj_offset=self.obj_offset,
-            members=[list(self.members[c]) for c in alive],
+            col_of=new_col[self.owner],
         )
-        fixed_out = {orig: v for c, v in self.fixed.items() for orig in self.members[c]}
-        return reduced, fixed_out, list(self.singles)
+        singles = self.singles
+        if singles:
+            # Each record's original columns: its column's run in the owners
+            # sorted stably.
+            order = np.argsort(self.owner, kind="stable")
+            cols = np.array([s[0] for s in singles])
+            start, end = np.searchsorted(self.owner[order], [cols, cols + 1]).tolist()
+            singles = [(order[a:b], *rest) for (_, *rest), a, b in zip(singles, start, end)]
+        return reduced, self.fixed[self.owner], singles

@@ -135,6 +135,11 @@ def _bad_first_cell(path, cell="abc"):
     return "\n".join([header, ",".join([node, cell, *cells]), *rest]) + "\n"
 
 
+def _repeated_first_row(path):
+    header, first, *rest = path.read_text().splitlines()
+    return "\n".join([header, first, *rest, first]) + "\n"
+
+
 # (input the file replaces, its text made from the good inputs in ``src``)
 MALFORMED = {
     "config-not-json": ("config", lambda src: "{bad"),
@@ -147,6 +152,7 @@ MALFORMED = {
         src / "fleet.json", lambda d: d["vehicles"][0].update(soc_min="x"))),
     "demand-text-cell": ("demand", lambda src: _bad_first_cell(src / "demand.csv")),
     "demand-nan-cell": ("demand", lambda src: _bad_first_cell(src / "demand.csv", "nan")),
+    "demand-node-twice": ("demand", lambda src: _repeated_first_row(src / "demand.csv")),
     "fleet-nan-sampling-time": ("fleet", lambda src: _edited(
         src / "fleet.json", lambda d: d.update(ts_hours=float("nan")))),
     "fleet-infinite-battery": ("fleet", lambda src: _edited(
@@ -534,3 +540,63 @@ def test_report_linearizes_once(tiny_files, tmp_path, monkeypatch):
     docs = [json.loads(p.read_text()) for p in paths]
     costs = strict_json(tmp_path / "rep" / "study_report.json")["costs"]
     assert {c["case"]: c["cost"] for c in costs} == {d["label"]: d["objective"] for d in docs}
+
+
+@pytest.fixture(scope="module")
+def other_fleets(tmp_path_factory):
+    """Fleets of 2 and 5 vehicles on the bundled grid, each with a plan."""
+    out = tmp_path_factory.mktemp("fleets")
+    for n in (2, 5):
+        assert run_cli("generate", "--vehicles", n, "--seed", 3, "--out", out / f"{n}") == 0
+        rc = run_cli("solve", "--fleet", out / f"{n}" / "fleet.json", "--scenario", "A",
+                     "--chargers", "spc", "--node-limit", 200, "--out", out / f"{n}")
+        assert rc in (0, 4)
+        plan = out / f"{n}" / "solution_spc-A.json"
+        assert json.loads(plan.read_text())["columns"] is not None
+    return out
+
+
+@pytest.mark.parametrize("planned, reported", [(5, 2), (2, 5)])
+def test_report_of_a_plan_for_another_fleet_exits_2(planned, reported, other_fleets,
+                                                     tmp_path, capsys):
+    plan = other_fleets / f"{planned}" / "solution_spc-A.json"
+    rc = run_cli("report", "--fleet", other_fleets / f"{reported}" / "fleet.json",
+                 "--solutions", plan, "--out", tmp_path)
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"error: {plan}: ")
+    assert not (tmp_path / "costs.csv").exists()
+
+
+def test_report_of_a_plan_for_another_grid_exits_2(tiny_files, solved_spc_a, tmp_path, capsys):
+    src, _ = tiny_files
+    plan = tmp_path / "plan.json"
+    plan.write_text(_edited(solved_spc_a, lambda d: d["node_ids"].reverse()))
+    rc = run_cli("report", "--grid", src / "grid.json", "--demand", src / "demand.csv",
+                 "--fleet", src / "fleet.json", "--solutions", plan, "--out", tmp_path)
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"error: {plan}: ")
+
+
+def test_demand_omitting_a_rated_node_reads_as_zero(tiny_files, tmp_path):
+    # solve and report both read the omitted node as a row of zeros.
+    src, inst = tiny_files
+    header, *rows = (src / "demand.csv").read_text().splitlines()
+    rated = {b.id for b in inst.network.buses if b.rating_kva is not None}
+    k = next(i for i, row in enumerate(rows) if int(row.split(",")[0]) in rated)
+    node, *cells = rows[k].split(",")
+    variants = {"omitted": rows[:k] + rows[k + 1:],
+                "zero": rows[:k] + [",".join([node] + ["0"] * len(cells))] + rows[k + 1:]}
+    reports = {}
+    for name, kept in variants.items():
+        d = tmp_path / name
+        d.mkdir()
+        (d / "demand.csv").write_text("\n".join([header, *kept]) + "\n")
+        inputs = ("--grid", src / "grid.json", "--demand", d / "demand.csv",
+                  "--fleet", src / "fleet.json")
+        assert run_cli("solve", *inputs, "--scenario", "A", "--chargers", "spc",
+                       "--gap", 0, "--out", d) == 0
+        assert run_cli("report", *inputs, "--solutions", d / "solution_spc-A.json",
+                       "--out", d / "rep") == 0
+        reports[name] = [(d / "rep" / f).read_text() for f in ("costs.csv", "injections.csv")]
+    assert f"\n{node}," not in "\n".join(variants["omitted"])
+    assert reports["omitted"] == reports["zero"]

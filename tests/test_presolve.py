@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import Bounds, LinearConstraint, milp
 
-from evplan.builder import build_plan_model
+from evplan.builder import COUNT_FAMILIES, EDGE_FAMILIES, VT_FAMILIES, build_plan_model
 from evplan.fleet import generate_commute_fleet
 from evplan.instance import prepare_instance
 from evplan.milp import BINARY, CONTINUOUS, MilpModel
@@ -152,9 +152,9 @@ def test_merged_integer_column_has_rounded_bounds():
     m = merged_integer_model(0.0)
     pre = presolve(m)
     assert pre.status == "reduced"
-    assert pre.fixed == {0: 0.0, 2: 0.0}
     red = pre.reduced
-    assert red.members == [[1], [3]]
+    assert red.col_of.tolist() == [-1, 0, -1, 1]
+    assert pre.fixed[[0, 2]].tolist() == [0.0, 0.0]
     ints = np.flatnonzero(red.is_int)
     assert np.array_equal(red.lb[ints], np.round(red.lb[ints]))
     assert np.array_equal(red.ub[ints], np.round(red.ub[ints]))
@@ -266,7 +266,8 @@ def test_random_mixed_milp_presolve_preserves_optimum(trial):
 def reduced_digest(red) -> str:
     """sha256 over every field of a reduced model, bit for bit: the CSR
     arrays, the row and column vectors (signed zeros included), the senses,
-    the column members and the objective offset's repr."""
+    each reduced column's original columns and the objective offset's
+    repr."""
     h = hashlib.sha256()
     for arr in (red.A.indptr, red.A.indices):
         h.update(np.asarray(arr, dtype=np.int64).tobytes())
@@ -274,7 +275,8 @@ def reduced_digest(red) -> str:
         h.update(np.asarray(arr, dtype=np.float64).tobytes())
     h.update(np.asarray(red.is_int, dtype=bool).tobytes())
     h.update("".join(red.senses).encode())
-    h.update(repr(red.members).encode())
+    h.update(repr([np.flatnonzero(red.col_of == k).tolist()
+                   for k in range(red.n_cols)]).encode())
     h.update(repr(red.obj_offset).encode())
     return h.hexdigest()
 
@@ -296,19 +298,59 @@ DESK_DIGESTS = {
 }
 
 
-def test_desk_model_presolved_size_is_pinned(cigre_network, cigre_demand):
+# sha256 of the postsolved point for the reduced point x[k] = k mod 2 of
+# the same four models: pins the fixed values and the removal records.
+DESK_POSTSOLVED = {
+    ("spc", "A"): "20f2bc34c516e59a78a76055ed3f8565dc98feccc50e475cb39cb48b5854d988",
+    ("spc", "B"): "ba611daf52322562caad8e0d8f9d6657a2b97cdea7d09816aa10e000eb357fe1",
+    ("mpc", "A"): "80199aa8d2f622b33175e1c7f9eb954e791b5ee8573736743552d3e70d02ce7f",
+    ("mpc", "B"): "8d3e01071a72fb4bcef02975f8f0972d8b4b455b661a1422ebf92c8e5d1dc6ce",
+}
+
+
+@pytest.fixture(scope="module")
+def desk_models(cigre_network, cigre_demand):
     sched, vehicles = generate_commute_fleet(
         cigre_network.cluster_nodes(1), cigre_network.cluster_nodes(2), 17, seed=42
     )
-    got, digests = {}, {}
-    for chargers, scenario in DESK_PRESOLVED:
-        inst = prepare_instance(cigre_network, cigre_demand, sched, vehicles,
-                                scenario=scenario, chargers=chargers)
-        red = presolve(build_plan_model(inst)).reduced
-        got[(chargers, scenario)] = (red.n_rows, red.n_cols, red.A.nnz)
-        digests[(chargers, scenario)] = reduced_digest(red)
+    return {
+        (chargers, scenario): build_plan_model(prepare_instance(
+            cigre_network, cigre_demand, sched, vehicles, scenario=scenario, chargers=chargers))
+        for chargers, scenario in DESK_PRESOLVED
+    }
+
+
+def test_desk_model_presolved_size_is_pinned(desk_models):
+    got, digests, postsolved = {}, {}, {}
+    for key, model in desk_models.items():
+        pre = presolve(model)
+        red = pre.reduced
+        got[key] = (red.n_rows, red.n_cols, red.A.nnz)
+        digests[key] = reduced_digest(red)
+        x = pre.postsolve(np.arange(red.n_cols) % 2.0)
+        postsolved[key] = hashlib.sha256(np.asarray(x, dtype=np.float64).tobytes()).hexdigest()
     assert got == DESK_PRESOLVED
     assert digests == DESK_DIGESTS
+    assert postsolved == DESK_POSTSOLVED
+
+
+def test_no_reduced_column_joins_two_vehicles(desk_models):
+    # Each reduced column holds the columns of one vehicle, or count
+    # columns only (-1), so fixing one vehicle's reduced columns fixes no
+    # other vehicle's.
+    for model in desk_models.values():
+        V = model.family("soc_start").size
+        vehicle = np.full(model.n_cols, -2)
+        for fam in VT_FAMILIES + EDGE_FAMILIES:
+            vehicle[model.family(fam)] = np.arange(V)[:, None]
+        vehicle[model.family("soc_start")] = np.arange(V)
+        for fam in COUNT_FAMILIES:
+            vehicle[model.family(fam)] = -1
+        assert (vehicle > -2).all()
+        col_of = presolve(model).reduced.col_of
+        kept = col_of >= 0
+        pairs = np.unique(np.stack([col_of[kept], vehicle[kept]]), axis=1)
+        assert np.array_equal(pairs[0], np.unique(col_of[kept]))
 
 
 # reduced_digest of the tiny models whose search test_bnb pins.

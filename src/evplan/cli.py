@@ -43,6 +43,12 @@ EXIT_USAGE = 2
 EXIT_INFEASIBLE = 3
 EXIT_LIMIT = 4
 
+# solve and sweep stop here unless --node-limit or the config sets a limit:
+# without one, a gap the search cannot reach keeps it running for minutes
+# even on a 5-vehicle fleet. SolverConfig itself stays unlimited.
+DEFAULT_NODE_LIMIT = 2000
+NODE_LIMIT_HELP = f"branch-and-bound nodes before stopping with exit code 4 (default {DEFAULT_NODE_LIMIT})"
+
 
 def main(argv=None) -> int:
     parser = _build_parser()
@@ -91,7 +97,7 @@ def _build_parser():
     common(p)
     p.add_argument("--gap", type=float)
     p.add_argument("--time-limit", type=float)
-    p.add_argument("--node-limit", type=int)
+    p.add_argument("--node-limit", type=int, help=NODE_LIMIT_HELP)
     p.add_argument("--import", dest="import_path", type=Path,
                    help="solution file (column value lines) instead of solving")
     p.add_argument("--verbose", action="store_true",
@@ -115,7 +121,7 @@ def _build_parser():
                    help="comma-separated demand multipliers (default 1.1,1.2,1.3,1.4)")
     p.add_argument("--gap", type=float)
     p.add_argument("--time-limit", type=float)
-    p.add_argument("--node-limit", type=int)
+    p.add_argument("--node-limit", type=int, help=NODE_LIMIT_HELP)
     p.set_defaults(func=cmd_sweep)
     return parser
 
@@ -156,7 +162,7 @@ def _number(args, cfg, key, kind, default=None):
 def _solver_config(args, cfg) -> SolverConfig:
     return SolverConfig(
         gap=_number(args, cfg, "gap", float, 0.10),
-        node_limit=_number(args, cfg, "node-limit", int),
+        node_limit=_number(args, cfg, "node-limit", int, DEFAULT_NODE_LIMIT),
         time_limit_s=_number(args, cfg, "time-limit", float),
     )
 

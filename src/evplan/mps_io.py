@@ -4,21 +4,29 @@ Columns are emitted in builder order under generated 8-character names
 (C0000001, ...), rows as R0000001..., with binaries wrapped in
 INTORG/INTEND markers. A compact JSON sidecar maps the generated names
 back to (family, indices) so external solutions can be joined with the
-model. It is written from the model's label records, one formatted string
-per entry, and holds the bytes of one ``json.dumps`` of the whole mapping.
+model. Its bytes are those of one ``json.dumps`` of the whole mapping, but
+it is streamed to the open file ``CHUNK`` entries per write, each entry
+formatted from the model's label records.
 
 A model holds few distinct numbers: a 50-vehicle model has about 6,000
 among 146,000 matrix entries. So the writer formats each distinct value
-once, keyed on its bit pattern, into a value table. The COLUMNS, RHS and
-BOUNDS sections then build their lines by indexing into precomputed
-strings (row fields, column heads, markers, values) and are joined and
-written ``CHUNK`` records at a time, so no string per matrix entry is
-held for the whole model. The bytes are those of formatting every entry
-on its own.
+once, keyed on its bit pattern, into a value table. COLUMNS reads one CSC
+copy of ``model.A`` whose entries hold their value's place in that table
+(int32, 8 bytes per entry with the row index), and writes each column's
+objective entry from ``model.obj`` ahead of its rows. The COLUMNS, RHS
+and BOUNDS sections build their lines by indexing into the value table,
+a table of row fields and the column heads and names a chunk needs,
+formatted from their indices; they are joined and written ``CHUNK``
+records at a time. So an export holds the model, the CSC copy, the two
+tables and one chunk of records, and no list of all names: its
+tracemalloc peak is 2.2 times the bytes of the model's CSR arrays at 50
+vehicles and 1.5 times at 400. The bytes are those of formatting every
+entry on its own.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from pathlib import Path
@@ -33,11 +41,27 @@ OBJECTIVE = "COST"
 MODEL_NAME = "EVPLAN"
 CHUNK = 4096  # records joined per write: bounds the strings alive at once
 BOUND_KINDS = np.array([f" {kind} BND       " for kind in ("FX", "FR", "MI", "LO", "UP", "PL")], dtype=object)
+DIGITS = [f"{k:03d}" for k in range(1000)]  # the last three digits of a generated name
 
 
-def _names(prefix: str, n: int) -> list[str]:
-    """Generated names ``<prefix>0000001`` ... for ``n`` rows or columns."""
-    return [f"{prefix}{k:07d}" for k in range(1, n + 1)]
+def _names_of(prefix: str, idx: np.ndarray) -> list[str]:
+    """The generated names ``<prefix>0000001``, ... of the rows or columns
+    ``idx`` (ascending, counted from 0). The names of a thousand share a
+    formatted head, and a name is its head plus three digits from
+    ``DIGITS``: a fraction of the time of formatting each name."""
+    if not len(idx):
+        return []
+    thousand, digits = np.divmod(idx + 1, 1000)
+    t0 = int(thousand[0])
+    heads = [f"{prefix}{t:04d}" for t in range(t0, int(thousand[-1]) + 1)]
+    return [heads[t] + DIGITS[d] for t, d in zip((thousand - t0).tolist(), digits.tolist())]
+
+
+def _name_stream(prefix: str, a: int, b: int):
+    """The names of rows or columns ``a`` to ``b - 1``, made ``CHUNK`` at a
+    time."""
+    return itertools.chain.from_iterable(
+        _names_of(prefix, np.arange(c, min(c + CHUNK, b))) for c in range(a, b, CHUNK))
 
 
 def _marker(k: int, opens: bool) -> str:
@@ -48,53 +72,72 @@ def _bits(values: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(values, dtype=np.float64).view(np.int64)
 
 
+def _unique(bits: np.ndarray) -> np.ndarray:
+    # np.unique would hash here, which takes several times as long as
+    # sorting the 64-bit patterns.
+    bits = np.sort(bits)
+    first = np.ones(len(bits), dtype=bool)
+    first[1:] = bits[1:] != bits[:-1]
+    return bits[first]
+
+
 class _ValueStrings:
-    """Each distinct float among ``values`` formatted once with ``spec``.
+    """Each distinct float among the arrays ``sources`` formatted once by
+    the format string ``template``.
 
     Values are keyed on their bit pattern, so ``-0.0`` and ``0.0`` keep
-    their own strings. Calling the table on any of those values returns
-    their strings as an object array.
+    their own strings. Each source is reduced to its distinct values on its
+    own, so no copy of all of them is made. ``index`` gives the place of
+    any of those values in ``strings``, and calling the table gives their
+    strings as an object array.
     """
 
-    def __init__(self, values: np.ndarray, spec: str):
-        # np.unique would hash here, which takes several times as long as
-        # sorting the 64-bit patterns.
-        bits = np.sort(_bits(values))
-        first = np.ones(len(bits), dtype=bool)
-        first[1:] = bits[1:] != bits[:-1]
-        self.keys = bits[first]
-        self.strings = np.array(
-            [format(v, spec) for v in self.keys.view(np.float64).tolist()], dtype=object
-        )
+    def __init__(self, sources: list[np.ndarray], template: str):
+        self.keys = _unique(np.concatenate([_unique(_bits(v)) for v in sources]))
+        self.strings = np.array([template.format(v) for v in self.keys.view(np.float64).tolist()], dtype=object)
+
+    def index(self, values: np.ndarray) -> np.ndarray:
+        return np.searchsorted(self.keys, _bits(values))
 
     def __call__(self, values: np.ndarray) -> np.ndarray:
-        return self.strings[np.searchsorted(self.keys, _bits(values))]
+        return self.strings[self.index(values)]
 
 
 def _write_records(fh, n: int, parts_of) -> None:
     """Write ``n`` records, ``CHUNK`` per write. ``parts_of(a, b)`` gives
-    the parts of records ``a`` to ``b - 1``: object arrays holding one
-    string per record, or a string shared by all; a record is its parts
+    the parts of records ``a`` to ``b - 1``: object arrays or lists holding
+    one string per record, or a string shared by all; a record is its parts
     concatenated."""
     for a in range(0, n, CHUNK):
         b = min(a + CHUNK, n)
         parts = parts_of(a, b)
         pieces = [""] * ((b - a) * len(parts))
         for k, part in enumerate(parts):
-            pieces[k::len(parts)] = [part] * (b - a) if isinstance(part, str) else part.tolist()
+            if isinstance(part, str):
+                part = [part] * (b - a)
+            pieces[k::len(parts)] = part if isinstance(part, list) else part.tolist()
         fh.write("".join(pieces))
+
+
+def _write_joined(fh, entries) -> None:
+    """Write the strings of the iterator ``entries`` separated by ``", "``,
+    ``CHUNK`` per write."""
+    sep = ""
+    while chunk := list(itertools.islice(entries, CHUNK)):
+        fh.write(sep + ", ".join(chunk))
+        sep = ", "
 
 
 def export_mps(model: MilpModel, path: str | Path) -> Path:
     """Write the model plus a ``<path>.columns.json`` sidecar; returns the
     sidecar's path."""
     path = Path(path)
-    rows, cols = _names("R", model.n_rows), _names("C", model.n_cols)
     with open(path, "w") as fh:
-        _write_mps(fh, model, rows, cols)
+        _write_mps(fh, model)
 
     sidecar_path = path.with_suffix(path.suffix + ".columns.json")
-    sidecar_path.write_text(_sidecar_text(model, rows, cols))
+    with open(sidecar_path, "w") as fh:
+        _write_sidecar(fh, model)
     return sidecar_path
 
 
@@ -103,70 +146,62 @@ def _escape(text: str) -> str:
     return json.dumps(text)[1:-1]
 
 
-def _sidecar_text(model: MilpModel, rows: list[str], cols: list[str]) -> str:
-    """The sidecar, ``json.dumps`` of ``{"objective": ..., "columns": {C...:
-    {"name", "family", "indices"}}, "rows": {R...: name}}``, written one
-    formatted string per entry from the model's label records. JSON escapes
-    each character on its own, so escaping each family or label name once
-    escapes every name made from it; a literal column goes through
-    ``json.dumps`` whole."""
-    entries, j = [], 0
+def _column_entries(model: MilpModel):
+    """The sidecar's ``"C...": {"name", "family", "indices"}`` entries, one
+    string each, from the model's column label records. JSON escapes each
+    character on its own, so escaping each family name once escapes every
+    name made from it; a literal column goes through ``json.dumps`` whole."""
+    j = 0
     for rec in model.col_labels:
-        names, j = cols[j:j + rec.size], j + rec.size
+        cols, j = _name_stream("C", j, j + rec.size), j + rec.size
         if isinstance(rec, Family):
             fam = _escape(rec.family)
-            entries += [
+            yield from (
                 f'"{cn}": {{"name": "{name}", "family": "{fam}", "indices": [{", ".join(p)}]}}'
-                for cn, name, p in zip(names, rec.names(_escape), rec.positions(text=True))
-            ]
+                for cn, name, p in zip(cols, rec.names(_escape), rec.positions(text=True))
+            )
         else:
-            entries += [
+            yield from (
                 f'"{cn}": ' + json.dumps({"name": name, "family": meta[0] if meta else None,
-                                          "indices": meta[1] if meta else None})
-                for cn, name, meta in zip(names, rec.names(), rec.metas())
-            ]
-    labels = [name for rec in model.row_labels for name in rec.names(_escape)]
-    return (f'{{"objective": "{OBJECTIVE}", "columns": {{{", ".join(entries)}}}, "rows": {{'
-            + ", ".join([f'"{rn}": "{name}"' for rn, name in zip(rows, labels)]) + "}}\n")
+                                              "indices": meta[1] if meta else None})
+                for cn, name, meta in zip(cols, rec.names(), rec.metas())
+            )
 
 
-def _write_mps(fh, model: MilpModel, rows: list[str], cols: list[str]) -> None:
-    n = model.n_cols
+def _write_sidecar(fh, model: MilpModel) -> None:
+    """The sidecar, ``json.dumps`` of ``{"objective": ..., "columns": {C...:
+    {"name", "family", "indices"}}, "rows": {R...: name}}``, streamed
+    ``CHUNK`` entries per write. A record's names are rendered when the
+    stream reaches it."""
+    fh.write(f'{{"objective": "{OBJECTIVE}", "columns": {{')
+    _write_joined(fh, _column_entries(model))
+    fh.write('}, "rows": {')
+    names = itertools.chain.from_iterable(rec.names(_escape) for rec in model.row_labels)
+    _write_joined(fh, (f'"{rn}": "{name}"' for rn, name in zip(_name_stream("R", 0, model.n_rows), names)))
+    fh.write("}}\n")
+
+
+def _write_mps(fh, model: MilpModel) -> None:
+    m = model.n_rows
     lb, ub, integral = model.lb, model.ub, model.is_int.astype(bool)
-    # The objective is row 0 of the matrix, so every column's entries are
-    # one slice: objective first, then its rows in order (tocsc sorts them).
     # An empty column holds an explicit zero objective entry (0.0 also
     # where its objective is -0.0).
-    cost = np.flatnonzero((model.obj != 0.0) | (np.bincount(model.A.indices, minlength=n) == 0))
-    cost_row = sp.csr_matrix(
-        (np.where(model.obj[cost] != 0.0, model.obj[cost], 0.0), (np.zeros_like(cost), cost)), shape=(1, n)
-    )
-    A = sp.vstack([cost_row, model.A], format="csc")
-    ptr = A.indptr
+    cost = np.where(model.obj != 0.0, model.obj, 0.0)
     rhs_nz = np.flatnonzero(model.rhs != 0.0)
-    values = _ValueStrings(np.concatenate([A.data, model.rhs[rhs_nz], lb, ub]), "12.12G")
-    fields = np.array([f"{name:<8}  " for name in [OBJECTIVE] + rows], dtype=object)
+    # Made before the CSC copy, so that sorting the matrix's values does
+    # not add a transient of its size next to that copy. A value string
+    # carries the two spaces before it, so a row field is the padded name
+    # that ROWS writes too.
+    values = _ValueStrings([model.A.data, cost, model.rhs[rhs_nz], lb, ub], "  {:12.12G}")
+    fields = np.array([f"{OBJECTIVE:<8}"] + _names_of("R", np.arange(m)), dtype=object)
 
-    # An entry is its head, row field and value. A column's first, third,
-    # ... entry opens a line: its head ends the line before and starts the
-    # column's name, after the marker when the column opens or closes a
-    # binary block. The entries between continue their line.
-    switch = np.flatnonzero(integral != np.concatenate([[False], integral[:-1]]))
-    heads = np.array(
-        [f"\n    {cn}  " for cn in cols]
-        + [f"\n{_marker(k, bool(integral[j]))}    {cols[j]}  " for k, j in enumerate(switch.tolist())]
-        + ["   "],
-        dtype=object,
-    )
-    first_head = np.arange(n)
-    first_head[switch] = n + np.arange(len(switch))
-    entry_col = np.repeat(np.arange(n), np.diff(ptr))
-
-    def cells(a, b):
-        col = entry_col[a:b]
-        pos = np.arange(a, b) - ptr[col]
-        head = np.where(pos % 2 == 1, len(heads) - 1, np.where(pos == 0, first_head[col], col))
-        return [heads[head], fields[A.indices[a:b]], values(A.data[a:b])]
+    fh.write(f"NAME          {MODEL_NAME}\nROWS\n N  {OBJECTIVE}\n")
+    _write_records(fh, m, lambda a, b: [" ", model.row_sense[a:b], "  ", fields[a + 1:b + 1], "\n"])
+    fh.write("COLUMNS")
+    _write_columns(fh, model, cost, integral, fields, values)
+    fh.write("RHS\n")
+    _write_records(fh, len(rhs_nz), lambda a, b: [
+        "    RHS       ", fields[rhs_nz[a:b] + 1], values(model.rhs[rhs_nz[a:b]]), "\n"])
 
     # Each column writes up to two bound lines, FX, FR, MI or LO, then UP
     # or PL; only FX, LO and UP carry a value.
@@ -181,26 +216,68 @@ def _write_mps(fh, model: MilpModel, rows: list[str], cols: list[str]) -> None:
     bound_kind = np.concatenate([first[c1], second[c2]])[order]
     bound_value = np.concatenate([lb[c1], ub[c2]])[order]
     valued = np.isin(bound_kind, (0, 3, 4))
-    names = np.array(cols, dtype=object)
 
     def bounds(a, b):
-        text = "  " + values(bound_value[a:b])
+        text = values(bound_value[a:b])
         text[~valued[a:b]] = ""
-        return [BOUND_KINDS[bound_kind[a:b]], names[bound_col[a:b]], text, "\n"]
+        return [BOUND_KINDS[bound_kind[a:b]], _names_of("C", bound_col[a:b]), text, "\n"]
 
-    fh.write(f"NAME          {MODEL_NAME}\nROWS\n N  {OBJECTIVE}\n")
-    fh.writelines(f" {sense}  {name}\n" for sense, name in zip(model.row_sense, rows))
-    fh.write("COLUMNS")
-    _write_records(fh, A.nnz, cells)
-    fh.write("\n")
-    if n and integral[-1]:
-        fh.write(_marker(len(switch), False))
-    fh.write("RHS\n")
-    _write_records(fh, len(rhs_nz), lambda a, b: [
-        "    RHS       ", fields[rhs_nz[a:b] + 1], values(model.rhs[rhs_nz[a:b]]), "\n"])
     fh.write("BOUNDS\n")
     _write_records(fh, len(bound_col), bounds)
     fh.write("ENDATA\n")
+
+
+def _write_columns(fh, model: MilpModel, cost, integral, fields, values) -> None:
+    """The COLUMNS section after its header. It reads the matrix from one
+    CSC copy whose entries hold each value's place in ``values`` as int32,
+    made once and freed when the section is written."""
+    A = model.A
+    A = sp.csr_matrix((values.index(A.data).astype(np.int32), A.indices, A.indptr), shape=A.shape).tocsc()
+    # A column's entries are its objective entry, when its objective is
+    # nonzero or the column is empty, then its rows in order (tocsc sorts
+    # them); ``ptr`` delimits them as ``indptr`` does the matrix's.
+    length = np.diff(A.indptr)
+    has_cost = (model.obj != 0.0) | (length == 0)
+    ptr = np.concatenate([[0], np.cumsum(length + has_cost, dtype=np.int64)])
+    switch = np.flatnonzero(integral != np.concatenate([[False], integral[:-1]]))
+
+    # An entry is its head, row field and value. A column's first, third,
+    # ... entry opens a line: its head ends the line before and starts the
+    # column's name, after the marker when the column opens or closes a
+    # binary block. The entries between continue their line. A chunk
+    # makes the heads of the columns it touches.
+    def cells(a, b):
+        c0, c1 = np.searchsorted(ptr, (a, b - 1), side="right")
+        c0 -= 1
+        col = np.repeat(np.arange(c0, c1), np.diff(np.clip(ptr[c0:c1 + 1], a, b)))
+        pos = np.arange(a, b) - ptr[col]
+        in_A = (pos > 0) | ~has_cost[col]
+        src = (A.indptr[col] + pos - has_cost[col])[in_A]
+        row = np.zeros(b - a, dtype=np.int32)
+        row[in_A] = A.indices[src] + 1
+        value = np.empty(b - a, dtype=np.int32)
+        value[in_A] = A.data[src]
+        value[~in_A] = values.index(cost[col[~in_A]])
+
+        s0, s1 = np.searchsorted(switch, (c0, c1))
+        names = _names_of("C", np.arange(c0, c1))
+        heads = np.array(
+            ["\n    " + cn + "  " for cn in names]
+            + [f"\n{_marker(s, bool(integral[j]))}    {names[j - c0]}  "
+               for s, j in enumerate(switch[s0:s1].tolist(), s0)]
+            + ["   "],
+            dtype=object,
+        )
+        col -= c0
+        first_head = np.arange(c1 - c0)
+        first_head[switch[s0:s1] - c0] = c1 - c0 + np.arange(s1 - s0)
+        head = np.where(pos % 2 == 1, len(heads) - 1, np.where(pos == 0, first_head[col], col))
+        return [heads[head], fields[row], values.strings[value]]
+
+    _write_records(fh, int(ptr[-1]), cells)
+    fh.write("\n")
+    if model.n_cols and integral[-1]:
+        fh.write(_marker(len(switch), False))
 
 
 def parse_mps(path: str | Path) -> dict:
@@ -257,10 +334,20 @@ def parse_mps(path: str | Path) -> dict:
 def write_solution_file(model: MilpModel, x: np.ndarray, path: str | Path) -> None:
     """``column-name value`` lines in the exported naming scheme."""
     x = np.asarray(x, dtype=np.float64)
-    values = _ValueStrings(x, ".12g")
-    names = np.array(_names("C", model.n_cols), dtype=object)
+    values = _ValueStrings([x], " {:.12g}")
     with open(path, "w") as fh:
-        _write_records(fh, model.n_cols, lambda a, b: [names[a:b], " ", values(x[a:b]), "\n"])
+        _write_records(fh, model.n_cols, lambda a, b: [_names_of("C", np.arange(a, b)), values(x[a:b]), "\n"])
+
+
+def _column_index(name: str, n: int) -> int | None:
+    """The index of the column that ``name`` names among ``n``, or None.
+    A name counts only as it is written, so ``C1`` names no column."""
+    digits = name[1:]
+    # A generated name has 7 digits, more only past 9,999,999 columns.
+    if name[:1] != "C" or not digits.isdecimal() or len(digits) > max(7, len(str(n))):
+        return None
+    j = int(digits) - 1
+    return j if 0 <= j < n and _names_of("C", np.array([j]))[0] == name else None
 
 
 def import_solution(model: MilpModel, path: str | Path) -> np.ndarray:
@@ -269,7 +356,9 @@ def import_solution(model: MilpModel, path: str | Path) -> np.ndarray:
     Returns the assignment vector; the objective should be recomputed by
     the caller from ``model.obj`` (it never trusts the solution file).
     """
-    values: dict[str, float] = {}
+    x = np.zeros(model.n_cols)
+    given = np.zeros(model.n_cols, dtype=bool)
+    unknown: set[str] = set()
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         parts = raw.split()
         if not parts or parts[0].startswith("#"):
@@ -284,20 +373,21 @@ def import_solution(model: MilpModel, path: str | Path) -> np.ndarray:
             raise SolutionImportError(f"{where}: value {text!r} is not a number") from None
         if not math.isfinite(value):
             raise SolutionImportError(f"{where}: value {text!r} is not finite")
-        if name in values:
+        j = _column_index(name, model.n_cols)
+        if name in unknown or (j is not None and given[j]):
             raise SolutionImportError(f"{where}: column {name} given twice")
-        values[name] = value
+        if j is None:
+            unknown.add(name)
+        else:
+            x[j], given[j] = value, True
 
-    cols = _names("C", model.n_cols)
-    unknown = sorted(values.keys() - set(cols))
     if unknown:
-        raise SolutionImportError(f"unknown column names: {', '.join(unknown[:5])}")
-    missing = [cn for cn in cols if cn not in values]
-    if missing:
+        raise SolutionImportError(f"unknown column names: {', '.join(sorted(unknown)[:5])}")
+    missing = np.flatnonzero(~given)
+    if missing.size:
         raise SolutionImportError(
-            f"solution file misses {len(missing)} column(s), first: {missing[0]}"
+            f"solution file misses {missing.size} column(s), first: {_names_of('C', missing[:1])[0]}"
         )
-    x = np.array([values[cn] for cn in cols])
     issues = model.check_point(x)
     if issues:
         raise SolutionImportError(

@@ -1,6 +1,9 @@
 import csv
 import json
+import os
 import shutil
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -9,7 +12,7 @@ import pytest
 
 from evplan import instance as instance_module
 from evplan import sensitivity
-from evplan.cli import main
+from evplan.cli import DEFAULT_NODE_LIMIT, main
 from evplan.demand import dump_demand
 from evplan.fleet_io import dump_fleet
 from evplan.network import dump_network
@@ -355,6 +358,22 @@ def test_limit_exits_4(tiny_files, tmp_path):
         "--gap", 0, "--node-limit", 1, "--out", tmp_path / "lim",
     )
     assert rc == 4
+
+
+def test_solve_without_limits_stops_at_the_default_node_limit(tmp_path):
+    # No --node-limit and no config: the search stops at the default node
+    # limit with its plan and exit code 4. Without one, this 5-vehicle
+    # fleet kept solve running for minutes, so the subprocess is bounded.
+    assert run_cli("generate", "--vehicles", 5, "--seed", 3, "--out", tmp_path) == 0
+    env = {**os.environ, "PYTHONPATH": str(Path(instance_module.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "evplan.cli", "solve", "--fleet", str(tmp_path / "fleet.json"), "--out", str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 4, proc.stderr
+    doc = strict_json(tmp_path / "solution_spc-A.json")
+    assert doc["status"] == "limit" and doc["nodes"] == DEFAULT_NODE_LIMIT
+    assert doc["columns"] is not None and doc["gap"] > 0.10
 
 
 def test_report_of_plan_less_solution_exits_2(tiny_files, tmp_path, capsys):

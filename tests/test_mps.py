@@ -1,8 +1,10 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from evplan import mps_io
 from evplan.bnb import SolverConfig, solve_bnb
 from evplan.builder import build_plan_model
 from evplan.errors import SolutionImportError
@@ -115,6 +117,21 @@ def test_unknown_column_rejected(built):
     with pytest.raises(SolutionImportError) as err:
         import_solution(model, sol_path)
     assert "unknown" in str(err.value)
+
+
+def test_names_are_known_only_as_written(built):
+    # A name that parses to a column index but is not that column's
+    # generated name is unknown; the message lists the first five sorted.
+    _, model, path, _ = built
+    n = model.n_cols
+    lines = [f"C{j + 1:07d} 0" for j in range(n)]
+    huge = "C" + "9" * 5000  # more digits than int() reads by default
+    lines += ["C1 0", "C0000000 0", f"C{n + 1:07d} 0", "C+000001 0", f"{huge} 0", "c0000001 0", "C\u0660000001 0"]
+    sol_path = path.parent / "near.txt"
+    sol_path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(SolutionImportError) as err:
+        import_solution(model, sol_path)
+    assert str(err.value) == f"unknown column names: C+000001, C0000000, C{n + 1:07d}, C1, {huge}"
 
 
 @pytest.mark.parametrize(
@@ -274,8 +291,17 @@ def desk_model(network, demand, chargers: str, scenario: str) -> MilpModel:
 
 
 @pytest.mark.parametrize(
-    "case", ["edge", "escaped", "random-0", "random-1", "random-2", "spc-A", "spc-B", "mpc-A", "mpc-B"])
-def test_export_matches_reference_writer(tmp_path, cigre_network, cigre_demand, case):
+    "case, chunk",
+    [pytest.param(case, CHUNK, id=case)
+     for case in ["edge", "escaped", "random-0", "random-1", "random-2", "spc-A", "spc-B", "mpc-A", "mpc-B"]]
+    # Chunks of one to three records split every seam of the streamed
+    # sections: a line continued across writes, the ", " between sidecar
+    # entries and the switch from its columns to its rows.
+    + [pytest.param(case, chunk, id=f"{case}-chunk{chunk}")
+       for case in ["edge", "escaped", "random-0"] for chunk in (1, 2, 3)],
+)
+def test_export_matches_reference_writer(tmp_path, monkeypatch, cigre_network, cigre_demand, case, chunk):
+    monkeypatch.setattr(mps_io, "CHUNK", chunk)
     if case == "edge":
         model = edge_model()
     elif case == "escaped":
@@ -293,3 +319,24 @@ def test_export_matches_reference_writer(tmp_path, cigre_network, cigre_demand, 
     x[::7] = rng.random(len(x[::7]))
     write_solution_file(model, x, tmp_path / "sol.txt")
     assert (tmp_path / "sol.txt").read_bytes() == reference_solution_text(model, x).encode()
+
+
+def test_export_peak_memory_stays_near_the_matrix_size(tmp_path, cigre_network, cigre_demand):
+    # The export holds one column-ordered copy of the matrix, the row-field
+    # and value tables and one chunk of records: no second matrix, no list
+    # of all names and no whole sidecar text. Its traced peak stays within
+    # 2.5 times the matrix's CSR arrays (4.6 times when it held them).
+    schedule, vehicles = generate_commute_fleet(
+        cigre_network.cluster_nodes(1), cigre_network.cluster_nodes(2), 50, seed=1
+    )
+    model = build_plan_model(prepare_instance(cigre_network, cigre_demand, schedule, vehicles,
+                                              scenario="B", chargers="spc"))
+    matrix = model.A.data.nbytes + model.A.indices.nbytes + model.A.indptr.nbytes
+    tracemalloc.start()
+    try:
+        export_mps(model, tmp_path / "model.mps")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert model.n_rows > 10_000
+    assert peak <= 2.5 * matrix, (peak, matrix)
